@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from repro.evaluation import format_panel_block, run_grid
-from repro.results import ResultsStore
+from repro.results import ResultsStore, load_record
 from repro.service import ServiceCore
 
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
@@ -128,13 +128,44 @@ def run_catalog_bench(name: str) -> List[Dict[object, List[float]]]:
     repro diff`` can compare bench and CLI runs freely.  Returns the
     panels' ``series -> mean curve`` mappings, in catalog order, for
     the caller's shape assertions.
+
+    At laptop scale the fresh ``run_id`` must equal the committed
+    record's before anything is written (:func:`check_committed_run_id`).
     """
     run = CORE.run_bench(name, full=FULL, executor=EXECUTOR,
                          demote_unpicklable=True)
+    if not FULL:
+        check_committed_run_id(run.record)
     for block in run.blocks:
         _emit_block(run.definition.result_stem, block)
     ResultsStore(RESULTS_DIR).save(run.record)
     return list(run.panels)
+
+
+#: Result stems whose ``run_id`` depends on the BLAS thread count (an
+#: open ROADMAP item), so a fresh run on another host may differ from
+#: the committed record without any code change.
+HOST_DEPENDENT_STEMS = frozenset({"fig07", "fig08", "fig09", "fig10",
+                                  "fig11"})
+
+
+def check_committed_run_id(record) -> None:
+    """Fail when a fresh record's ``run_id`` differs from the committed one.
+
+    Committed records are gates: a code change that moves a bench's
+    numbers must fail here, naming both ids, instead of silently
+    rewriting ``results/<stem>.json``.  Benches without a committed
+    record, and the :data:`HOST_DEPENDENT_STEMS`, are not gated.
+    """
+    stem = record.result_stem
+    path = ResultsStore(RESULTS_DIR).path_for(stem)
+    if stem in HOST_DEPENDENT_STEMS or not path.exists():
+        return
+    committed = load_record(path).run_id
+    if record.run_id != committed:
+        raise AssertionError(
+            f"{stem}: fresh run_id {record.run_id} differs from committed "
+            f"run_id {committed} in {path}")
 
 
 #: Result files already written this run — the first panel of a bench

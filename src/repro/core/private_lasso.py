@@ -22,20 +22,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .._validation import check_dataset, check_positive, check_vector
-from ..estimators.truncation import shrink_dataset
+from ..exceptions import ConfigurationError
 from ..geometry.polytope import Polytope
 from ..losses.squared import SquaredLoss
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.budget import PrivacyBudget
-from ..privacy.mechanisms import ExponentialMechanism
 from ..rng import SeedLike, ensure_rng
+from .batched import batch_fit_lasso
 from .hyperparams import LassoSchedule, classic_fw_steps, lasso_schedule
 from .result import FitResult
+
+
+class LassoPlan(NamedTuple):
+    """Everything Algorithm 2's iteration loop needs for ``n`` samples."""
+
+    n_iterations: int
+    threshold: float
+    steps: List[float]
+    sensitivity: float
+    per_iteration_epsilon: float
 
 
 @dataclass
@@ -48,7 +58,7 @@ class HeavyTailedPrivateLasso:
         The ℓ1-ball constraint (any vertex polytope is accepted; the
         paper's analysis is for the ℓ1 ball).
     epsilon, delta:
-        End-to-end privacy budget.
+        End-to-end privacy budget; ``delta`` must lie in ``(0, 1)``.
     n_iterations, threshold:
         ``T`` and the shrinkage level ``K``; ``None`` selects them from
         :func:`~repro.core.hyperparams.lasso_schedule`.
@@ -69,6 +79,9 @@ class HeavyTailedPrivateLasso:
     def __post_init__(self) -> None:
         check_positive(self.epsilon, "epsilon")
         check_positive(self.delta, "delta")
+        if self.delta >= 1:
+            # log(1/delta) sets the per-step budget: delta >= 1 has none.
+            raise ConfigurationError(f"delta must be < 1, got {self.delta}")
         self._loss = SquaredLoss()
 
     def resolve_schedule(self, n_samples: int) -> LassoSchedule:
@@ -87,11 +100,29 @@ class HeavyTailedPrivateLasso:
         """The paper's per-step budget ``eps / (2 sqrt(2 T log(1/delta)))``."""
         return self.epsilon / (2.0 * math.sqrt(2.0 * n_iterations * math.log(1.0 / self.delta)))
 
+    def plan(self, n_samples: int) -> LassoPlan:
+        """Schedule, step sizes, sensitivity and per-step budget for ``n``."""
+        schedule = self.resolve_schedule(n_samples)
+        T, K = schedule.n_iterations, schedule.threshold
+        steps = list(self.step_sizes) if self.step_sizes is not None else classic_fw_steps(T)
+        if len(steps) < T:
+            raise ValueError(f"need {T} step sizes, got {len(steps)}")
+        # Sensitivity of u(D, v) from the Theorem 4 proof: 8 ||W||_1 K^2 / n
+        # (with ||W||_1 = 2 for the unit l1 ball the paper's constant).
+        sensitivity = 4.0 * self.polytope.l1_diameter() * K**2 / n_samples
+        return LassoPlan(n_iterations=T, threshold=K, steps=steps[:T],
+                         sensitivity=sensitivity,
+                         per_iteration_epsilon=self.per_iteration_epsilon(T))
+
     def fit(self, X: np.ndarray, y: np.ndarray, w0: Optional[np.ndarray] = None,
             rng: SeedLike = None,
             callback: Optional[Callable[[int, np.ndarray], None]] = None,
             ) -> FitResult:
-        """Run Algorithm 2 on the dataset ``(X, y)``."""
+        """Run Algorithm 2 on the dataset ``(X, y)``.
+
+        The one-trial call of :func:`~repro.core.batched.batch_fit_lasso`,
+        plus validation, history recording and privacy bookkeeping.
+        """
         X, y = check_dataset(X, y)
         n, d = X.shape
         if d != self.polytope.dimension:
@@ -100,19 +131,9 @@ class HeavyTailedPrivateLasso:
                 f"{self.polytope.dimension}"
             )
         rng = ensure_rng(rng)
-        schedule = self.resolve_schedule(n)
-        T, K = schedule.n_iterations, schedule.threshold
-        steps = list(self.step_sizes) if self.step_sizes is not None else classic_fw_steps(T)
-        if len(steps) < T:
-            raise ValueError(f"need {T} step sizes, got {len(steps)}")
-
-        X_shrunk, y_shrunk = shrink_dataset(X, y, K)
-        diameter = self.polytope.l1_diameter()
-        # Sensitivity of u(D, v) from the Theorem 4 proof: 8 ||W||_1 K^2 / n
-        # (with ||W||_1 = 2 for the unit l1 ball the paper's constant).
-        sensitivity = 4.0 * diameter * K**2 / n
-        eps_step = self.per_iteration_epsilon(T)
-        mechanism = ExponentialMechanism(epsilon=eps_step, sensitivity=sensitivity)
+        plan = self.plan(n)
+        T = plan.n_iterations
+        eps_step = plan.per_iteration_epsilon
 
         accountant = PrivacyAccountant()
         accountant.spend(PrivacyBudget(self.epsilon, self.delta), "exponential",
@@ -125,19 +146,15 @@ class HeavyTailedPrivateLasso:
         risks: List[float] = [self._loss.value(w, X, y)] if self.record_history else []
         selected_vertices: List[int] = []
 
-        for t in range(T):
-            residual = X_shrunk @ w - y_shrunk
-            g_tilde = 2.0 * (X_shrunk.T @ residual) / n
-            scores = self.polytope.vertex_scores(g_tilde)
-            vertex_index = mechanism.select(scores, rng=rng)
-            vertex = self.polytope.vertex(vertex_index)
-            selected_vertices.append(vertex_index)
-            w = (1.0 - steps[t]) * w + steps[t] * vertex
+        def on_step(t: int, chosen: List[int], ws: np.ndarray) -> None:
+            selected_vertices.append(chosen[0])
             if self.record_history:
-                iterates.append(w.copy())
-                risks.append(self._loss.value(w, X, y))
+                iterates.append(ws[0].copy())
+                risks.append(self._loss.value(ws[0], X, y))
             if callback is not None:
-                callback(t, w)
+                callback(t, ws[0])
+
+        w = batch_fit_lasso(self, [(X, y)], [rng], w0=w, on_step=on_step)[0]
 
         return FitResult(
             w=w, n_iterations=T, accountant=accountant,
@@ -145,7 +162,7 @@ class HeavyTailedPrivateLasso:
             iterates=iterates, risks=risks,
             metadata={
                 "algorithm": "heavy_tailed_private_lasso",
-                "threshold": K,
+                "threshold": plan.threshold,
                 "per_iteration_epsilon": eps_step,
                 "selected_vertices": selected_vertices,
                 "schedule_mode": self.schedule_mode,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .._validation import check_positive
 from ..rng import SeedLike, ensure_rng
@@ -124,8 +123,10 @@ class ExponentialMechanism:
 
     Two samplers are provided; they induce exactly the same distribution:
 
-    * ``method="softmax"`` — normalise with :func:`scipy.special.logsumexp`
-      and draw from the categorical distribution.
+    * ``method="softmax"`` — normalise the logits with a max-shifted
+      log-sum-exp and invert one uniform draw through the cumulative
+      distribution (the draw ``Generator.choice(n, p=...)`` makes, so
+      the selection and the Generator's later stream match it exactly).
     * ``method="gumbel"`` — add i.i.d. ``Gumbel(2Δ/eps)`` noise to the
       scores and take the argmax (the Gumbel-max trick), which is the
       numerically friendliest form for very large candidate sets.
@@ -146,18 +147,8 @@ class ExponentialMechanism:
         """The ``(epsilon, 0)`` guarantee of one invocation."""
         return PrivacyBudget(self.epsilon, 0.0)
 
-    def probabilities(self, scores: np.ndarray) -> np.ndarray:
-        """Exact selection probabilities for the given score vector."""
-        scores = np.asarray(scores, dtype=float)
-        logits = (self.epsilon / (2.0 * self.sensitivity)) * scores
-        return np.exp(logits - logsumexp(logits))
-
-    def select(self, scores: np.ndarray, rng: SeedLike = None) -> int:
-        """Sample a candidate index with exponential bias toward high scores."""
-        rng = ensure_rng(rng)
-        scores = np.asarray(scores, dtype=float)
-        if scores.ndim != 1 or scores.size == 0:
-            raise ValueError(f"scores must be a non-empty 1-D array, got shape {scores.shape}")
+    def _logits(self, scores: np.ndarray) -> np.ndarray:
+        """``eps * u / (2 Δ)``, refusing any non-finite entry."""
         # A non-finite score — or a finite one whose scaled logit
         # overflows — admits no exponential-mechanism distribution;
         # sampling anything (e.g. a deterministic argmax) would silently
@@ -168,17 +159,36 @@ class ExponentialMechanism:
             raise ValueError(
                 "scores must be finite and their logits representable; "
                 "got non-finite entries after scaling by eps/(2*sensitivity)")
+        return logits
+
+    @staticmethod
+    def _softmax(logits: np.ndarray) -> np.ndarray:
+        """``exp(logits - logsumexp(logits))`` with a max-shifted sum."""
+        m = logits.max()
+        return np.exp(logits - (m + np.log(np.sum(np.exp(logits - m)))))
+
+    def probabilities(self, scores: np.ndarray) -> np.ndarray:
+        """Exact selection probabilities for the given score vector."""
+        return self._softmax(self._logits(np.asarray(scores, dtype=float)))
+
+    def select(self, scores: np.ndarray, rng: SeedLike = None) -> int:
+        """Sample a candidate index with exponential bias toward high scores."""
+        rng = ensure_rng(rng)
+        scores = np.asarray(scores, dtype=float)
+        if scores.ndim != 1 or scores.size == 0:
+            raise ValueError(f"scores must be a non-empty 1-D array, got shape {scores.shape}")
+        logits = self._logits(scores)
         if self.method == "gumbel":
             noisy = logits + rng.gumbel(loc=0.0, scale=1.0, size=scores.shape)
             return int(np.argmax(noisy))
-        probs = self.probabilities(scores)
-        # Defensive renormalisation: with widely separated logits the
-        # exponentiated probabilities can sum to slightly off 1.0 after
-        # floating-point rounding, and rng.choice raises on any such
-        # drift.  (Finite scores guarantee a strictly positive total:
-        # the largest logit always contributes exp(0) = 1.)
-        probs = probs / probs.sum()
-        return int(rng.choice(scores.size, p=probs))
+        probs = self._softmax(logits)
+        # Exactly the arithmetic of ``rng.choice(n, p=probs / probs.sum())``
+        # (renormalise, then invert one uniform draw through the CDF), so
+        # every recorded selection is reproduced bit for bit.  Finite
+        # logits give a strictly positive total: the largest contributes 1.
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def report_noisy_max(scores: np.ndarray, epsilon: float, sensitivity: float,

@@ -1,6 +1,6 @@
-"""Tests for the trial-batched fast paths and their bit-identity contract.
+"""Tests for the trial-batched paths and their bit-identity contract.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * **dispatch** — ``TrialJob.execute`` routes whole cells through
   ``batch_point`` when a scenario declares one, on every executor;
@@ -9,9 +9,13 @@ Three layers of guarantees:
 * **fingerprint neutrality** — declaring (or editing) a
   ``batch_method`` never moves a scenario's cache fingerprint, so
   opting in cannot invalidate warm cells or shift a ``run_id``.
-* **bit-identity** — for every batched catalog family, the batched and
-  scalar paths produce float-for-float identical trial statistics on
-  small grids, and the vectorized satellites (column-wise estimators,
+* **the Algorithm 2 loop** — ``HeavyTailedPrivateLasso.fit`` and the
+  stacked :func:`repro.core.batched.batch_fit_lasso` select the same
+  vertices, return the same bits and leave each Generator in the same
+  state as the direct-form reference loop kept here as an oracle.
+* **bit-identity** — the private-Lasso catalog families (the only ones
+  that batch) produce float-for-float identical trial statistics on
+  both paths, and the vectorized satellites (column-wise estimators,
   finite-difference oracle, hypercube geometry) match the loops they
   replaced exactly.
 """
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from repro.estimators.baseline_means import (
     coordinatewise,
@@ -37,16 +42,13 @@ from repro.evaluation import (
     point_fingerprint,
     run_grid,
 )
+from repro.core import HeavyTailedPrivateLasso
+from repro.core.batched import batch_fit_lasso
 from repro.experiments.panels import (
-    CatoniVsClippingAblation,
     DistributionSpec,
     L1LinearPanel,
     L1PrivateVsNonprivatePanel,
-    RobustRegressionExtension,
-    ScaleParameterAblation,
-    SplitVsComposedAblation,
     TruncationThresholdAblation,
-    WeakMomentsExtension,
 )
 from repro.geometry import Hypercube, L1Ball, hypercube
 from repro.losses import SquaredLoss
@@ -199,11 +201,7 @@ _T_NOISE = DistributionSpec("student_t", {"df": 3.0})
 
 
 def _tiny_panels():
-    """One small instance + grid per batched catalog family."""
-    from repro.core import HeavyTailedDPFW, HeavyTailedPrivateLasso
-    from repro.losses import SquaredLoss as _SL
-    scale = HeavyTailedDPFW(_SL(), L1Ball(8), epsilon=1.0,
-                            tau=5.0).resolve_schedule(400).scale
+    """One small instance + grid per catalog family with a batched path."""
     threshold = HeavyTailedPrivateLasso(
         L1Ball(8), epsilon=1.0, delta=1e-5).resolve_schedule(400).threshold
     return [
@@ -216,26 +214,9 @@ def _tiny_panels():
         (L1PrivateVsNonprivatePanel(solver="lasso", features=_FEATURES,
                                     noise=_NOISE, d_fixed=6),
          "n", [300], "kind", ["private(eps=1)", "non-private"]),
-        (CatoniVsClippingAblation(features=_FEATURES, noise=_NOISE, d=8,
-                                  delta=1e-5),
-         "n", [400], "method", ["catoni-dpfw", "clipped-dpfw"]),
-        (ScaleParameterAblation(features=_FEATURES, noise=_NOISE, d=8,
-                                n=400, theory_scale=scale),
-         "s_multiplier", [0.2, 1.0], "metric", ["excess_risk"]),
         (TruncationThresholdAblation(features=_FEATURES, noise=_NOISE, d=8,
                                      n=400, theory_threshold=threshold),
          "K_multiplier", [0.3, 1.0], "metric", ["excess_risk"]),
-        (SplitVsComposedAblation(features=_FEATURES, noise=_NOISE, d=8,
-                                 delta=1e-5),
-         "n", [400], "method",
-         ["split (paper, eps-DP)", "composed ((eps,delta)-DP)"]),
-        (RobustRegressionExtension(features=_FEATURES, noise=_T_NOISE, d=8,
-                                   sweep="n", eps_fixed=1.0),
-         "n", [400], "loss", ["biweight", "squared"]),
-        (WeakMomentsExtension(
-            features=DistributionSpec("pareto", {"tail_index": 1.45}),
-            noise=_NOISE, d=6, moment_order=1.4),
-         "n", [400], "estimator", ["truncated(v=0.4)", "catoni"]),
     ]
 
 
@@ -264,7 +245,7 @@ class TestPanelBitIdentity:
 
     def test_batched_equals_scalar_on_thread_executor(self, monkeypatch):
         point, sweep_name, sweep_values, series_name, series_values = \
-            _tiny_panels()[5]  # the truncation ablation (lasso family)
+            _tiny_panels()[-1]  # the truncation ablation (lasso family)
         batched = run_grid(point, sweep_name, sweep_values, series_name,
                            series_values, n_trials=2, seed=7,
                            executor="thread", max_workers=2)
@@ -272,6 +253,89 @@ class TestPanelBitIdentity:
         scalar = run_grid(point, sweep_name, sweep_values, series_name,
                           series_values, n_trials=2, seed=7)
         assert _stats_tuple(batched) == _stats_tuple(scalar)
+
+
+def _direct_lasso(solver, X, y, rng):
+    """Reference Algorithm 2: direct-form gradient, scipy sampler.
+
+    The loop ``HeavyTailedPrivateLasso.fit`` used to run, from the
+    paper's formulas: shrink at ``K``, gradient ``2 X̃ᵀ(X̃w − ỹ) / n``,
+    exponential mechanism normalised by ``scipy.special.logsumexp`` and
+    drawn by ``Generator.choice``.  Returns ``(w, selected vertices)``.
+    """
+    n = X.shape[0]
+    schedule = solver.resolve_schedule(n)
+    T, K = schedule.n_iterations, schedule.threshold
+    X_shrunk = np.sign(X) * np.minimum(np.abs(X), K)
+    y_shrunk = np.sign(y) * np.minimum(np.abs(y), K)
+    sensitivity = 4.0 * solver.polytope.l1_diameter() * K**2 / n
+    eps_step = solver.epsilon / (
+        2.0 * math.sqrt(2.0 * T * math.log(1.0 / solver.delta)))
+    w = solver.polytope.initial_point()
+    selected = []
+    for t in range(T):
+        g = 2.0 * (X_shrunk.T @ (X_shrunk @ w - y_shrunk)) / n
+        logits = (eps_step / (2.0 * sensitivity)) * \
+            solver.polytope.vertex_scores(g)
+        probs = np.exp(logits - logsumexp(logits))
+        index = int(rng.choice(logits.size, p=probs / probs.sum()))
+        selected.append(index)
+        step = 2.0 / (t + 3.0)  # the paper's eta_t, first update 2/3
+        w = (1.0 - step) * w + step * solver.polytope.vertex(index)
+    return w, selected
+
+
+def _lasso_data(seed, n, d):
+    """Heavy-tailed linear data; the Generator continues into the fit."""
+    rng = np.random.default_rng(seed)
+    X = rng.lognormal(sigma=0.6, size=(n, d))
+    w_star = rng.dirichlet(np.ones(d)) * rng.choice([-1.0, 1.0], size=d)
+    return X, X @ w_star + rng.standard_t(df=3.0, size=n), rng
+
+
+#: (n, d, polytope): shapes across the catalog's range, one ball radius
+#: other than 1, and one constraint set that is not an l1 ball.
+_ORACLE_CASES = [
+    (300, 5, L1Ball(5)),
+    (1500, 12, L1Ball(12)),
+    (4000, 40, L1Ball(40, radius=2.5)),
+    (800, 5, hypercube(5, radius=0.5)),
+]
+
+
+def _case_id(value):
+    """Test id part: sizes as numbers, the polytope by its class."""
+    return str(value) if isinstance(value, int) else type(value).__name__
+
+
+class TestLassoLoopMatchesDirectForm:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n,d,polytope", _ORACLE_CASES, ids=_case_id)
+    def test_fit_matches_oracle(self, seed, n, d, polytope):
+        solver = HeavyTailedPrivateLasso(polytope, epsilon=1.0, delta=1e-5)
+        X, y, rng = _lasso_data(seed, n, d)
+        X2, y2, rng2 = _lasso_data(seed, n, d)
+        w_ref, selected_ref = _direct_lasso(solver, X, y, rng)
+        result = solver.fit(X2, y2, rng=rng2)
+        assert result.metadata["selected_vertices"] == selected_ref
+        assert np.array_equal(result.w, w_ref)
+        assert rng2.random() == rng.random()  # same stream afterwards
+
+    @pytest.mark.parametrize("n,d,polytope", _ORACLE_CASES, ids=_case_id)
+    def test_stacked_trials_match_oracle(self, n, d, polytope):
+        solver = HeavyTailedPrivateLasso(polytope, epsilon=0.5, delta=1e-6)
+        trials = [_lasso_data(seed, n, d) for seed in (10, 11, 12)]
+        steps = []
+        ws = batch_fit_lasso(
+            solver, [(X, y) for X, y, _ in trials],
+            [rng for _, _, rng in trials],
+            on_step=lambda t, chosen, w: steps.append(chosen))
+        for k, seed in enumerate((10, 11, 12)):
+            X, y, rng = _lasso_data(seed, n, d)
+            w_ref, selected_ref = _direct_lasso(solver, X, y, rng)
+            assert [chosen[k] for chosen in steps] == selected_ref
+            assert np.array_equal(ws[k], w_ref)
+            assert trials[k][2].random() == rng.random()
 
 
 class TestColumnwiseFastPaths:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from repro.privacy import (
     ExponentialMechanism,
@@ -137,6 +138,29 @@ class TestExponentialMechanism:
         counts = np.bincount(draws, minlength=scores.size)
         _, p_value = stats.chisquare(counts, expected * draws.size)
         assert p_value > 1e-4  # not a significant deviation
+
+    def test_softmax_select_matches_scipy_sampler(self):
+        """Draw for draw and stream for stream, the scipy-form sampler.
+
+        The reference normalises with ``scipy.special.logsumexp`` and
+        draws with ``Generator.choice(n, p=...)``; ``select`` must pick
+        the same index from every vector and leave the Generator where
+        the reference leaves it.
+        """
+        ours, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        vectors = np.random.default_rng(7)
+        for _ in range(2000):
+            size = int(vectors.integers(2, 901))
+            scale = 10.0 ** vectors.uniform(-3.0, 3.0)
+            scores = vectors.normal(scale=scale, size=size)
+            mech = ExponentialMechanism(
+                epsilon=float(vectors.uniform(0.1, 4.0)),
+                sensitivity=float(vectors.uniform(0.05, 2.0)))
+            logits = (mech.epsilon / (2.0 * mech.sensitivity)) * scores
+            probs = np.exp(logits - logsumexp(logits))
+            expected = int(ref.choice(size, p=probs / probs.sum()))
+            assert mech.select(scores, rng=ours) == expected
+        assert ours.random() == ref.random()
 
     def test_select_rejects_empty(self, rng):
         mech = ExponentialMechanism(epsilon=1.0, sensitivity=1.0)

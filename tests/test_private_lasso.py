@@ -13,6 +13,7 @@ from repro import (
     l1_ball_truth,
     make_linear_data,
 )
+from repro.exceptions import ConfigurationError
 
 
 def _data(rng, n=4000, d=8, sigma=0.6):
@@ -29,6 +30,11 @@ class TestConfiguration:
             HeavyTailedPrivateLasso(L1Ball(4), epsilon=0.0, delta=1e-5)
         with pytest.raises(ValueError):
             HeavyTailedPrivateLasso(L1Ball(4), epsilon=1.0, delta=0.0)
+
+    @pytest.mark.parametrize("delta", [1.0, 2.0])
+    def test_delta_at_least_one_rejected(self, delta):
+        with pytest.raises(ConfigurationError, match="delta must be < 1"):
+            HeavyTailedPrivateLasso(L1Ball(4), epsilon=1.0, delta=delta)
 
     def test_schedule(self):
         solver = HeavyTailedPrivateLasso(L1Ball(4), epsilon=1.0, delta=1e-5)
