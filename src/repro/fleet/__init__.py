@@ -1,13 +1,18 @@
 """Fault-tolerant work-queue executor (``--executor fleet``).
 
-A coordinator enqueues digest-addressed :class:`~repro.evaluation.TrialJob`
-cells onto a broker; N workers lease, heartbeat, compute, and complete
-them.  Lost workers, lost completions, and duplicated deliveries are
-absorbed by protocol — lease expiry, capped-exponential requeue,
-bounded retries, dead letters, idempotent completion — and the whole
-machine runs on a virtual clock with a seeded fault schedule, so every
-failure mode is exercised deterministically in tier-1 tests.  Broker
-death itself is recoverable through the write-ahead
+One coordinator (:class:`FleetExecutor`) enqueues digest-addressed
+:class:`~repro.evaluation.TrialJob` cells onto a broker; N copies of
+one worker (:class:`~repro.fleet.net.worker.FleetWorker`) lease,
+heartbeat, compute, and complete them.  Lost workers, lost
+completions, duplicated deliveries, and raising cells are absorbed by
+protocol — lease expiry or explicit failure, capped-exponential
+requeue, bounded retries, dead letters, idempotent completion.  The
+broker (in-process, or a socket server) and the clock (a
+:class:`ManualClock` stepping in-process workers, or the wall clock
+with worker processes) are the only differences between transports,
+so every failure mode is exercised deterministically in tier-1 tests
+on virtual time under a seeded fault schedule.  Broker death itself
+is recoverable through the write-ahead
 :class:`~repro.fleet.journal.Journal`: every mutation is logged before
 it is applied and :func:`~repro.fleet.journal.replay_journal` rebuilds
 the broker bit-for-bit on restart.  See ``docs/engine.md`` ("Fleet
@@ -25,14 +30,8 @@ from .broker import (
     InProcessBroker,
     Lease,
 )
-from .clock import ManualClock, MonotonicClock
-from .executor import (
-    FleetError,
-    FleetExecutor,
-    FleetOptions,
-    FleetStats,
-    create_fleet_executor,
-)
+from .clock import ManualClock
+from .executor import FleetError, FleetExecutor, FleetOptions, FleetStats
 from .faults import FaultSchedule
 from .journal import Journal, JournalError, read_journal, replay_journal
 
@@ -53,9 +52,7 @@ __all__ = [
     "LEASED",
     "Lease",
     "ManualClock",
-    "MonotonicClock",
     "QUEUED",
-    "create_fleet_executor",
     "read_journal",
     "replay_journal",
 ]

@@ -30,9 +30,10 @@ Fault tolerance is structural, not aspirational:
   and ignored, which is safe *because* tasks are digest-addressed:
   any two completions of one key carry bit-identical values.
 
-Anything satisfying this method contract (enqueue/lease/heartbeat/
-complete/fail/expire plus ``outstanding``/``dead_letters``/``counters``)
-can replace :class:`InProcessBroker` — a redis- or ray-backed broker
+Anything satisfying this method contract (enqueue/lease/
+duplicate_lease/heartbeat/complete/fail/expire plus the ``state``/
+``result``/``outstanding``/``next_eligible``/``dead_letters``/
+``counters`` observers) can replace :class:`InProcessBroker` — a redis- or ray-backed broker
 slots in behind the same :class:`~repro.fleet.executor.FleetExecutor`.
 
 Crash safety is opt-in: pass a :class:`~repro.fleet.journal.Journal`
@@ -106,19 +107,18 @@ class _Task:
     #: Every lease id ever issued for this task — the set to prune from
     #: the broker's lease index once the task resolves (DONE/DEAD).
     history: List[int] = field(default_factory=list)
-    #: The completed values (and compute seconds), when the completing
-    #: worker shipped them through the broker (the networked tier does;
-    #: the in-process simulation keeps values worker-side).
+    #: The completed values (and compute seconds) the first completion
+    #: shipped through the broker — every worker ships them.
     result: Optional[Tuple[List[float], Optional[float]]] = None
 
 
 class InProcessBroker:
-    """A single-process, dict-backed broker for the simulated fleet.
+    """A single-process, dict-backed broker: the in-process fleet's.
 
-    Not thread-safe by design: the deterministic harness drives it from
-    one coordinator loop.  (A shared-memory multi-threaded deployment
-    would wrap calls in a lock; a networked one would replace the class
-    entirely — the protocol, not the implementation, is the contract.)
+    Not thread-safe by design: the coordinator drives it, and the
+    workers it steps, from one loop.  (The networked broker server
+    wraps one instance in a lock — the protocol, not the
+    implementation, is the contract.)
     """
 
     def __init__(self, *, lease_timeout: float = 5.0, max_attempts: int = 3,
@@ -259,11 +259,10 @@ class InProcessBroker:
                  elapsed: Optional[float] = None) -> str:
         """Report a finished attempt; idempotent by construction.
 
-        ``values`` (and ``elapsed``) optionally ship the computed cell
-        through the broker: the first completion pins them, a
-        :meth:`result` query reads them back.  The in-process simulation
-        never passes them (its workers keep values locally); networked
-        workers always do — the broker is their only channel home.
+        ``values`` (and ``elapsed``) ship the computed cell through the
+        broker: the first completion pins them, a :meth:`result` query
+        reads them back.  Workers always pass them — the broker is their
+        only channel to the coordinator, in-process or networked.
 
         Returns one of:
 
@@ -379,8 +378,7 @@ class InProcessBroker:
         """The ``(values, elapsed)`` a completion shipped, or ``None``.
 
         ``None`` means the task has not completed *with values* — it may
-        be pending, dead, or completed by a worker that kept its values
-        local (the in-process simulation).
+        be pending, dead, or completed by a caller that shipped none.
         """
         return self._tasks[key].result
 

@@ -1,10 +1,11 @@
-"""Clocks the fleet schedules against: real monotonic time or virtual.
+"""Virtual time for the fleet: :class:`ManualClock`.
 
 Every time-dependent decision in :mod:`repro.fleet` — lease deadlines,
-heartbeat intervals, backoff delays, worker respawns — reads one
-:class:`Clock`.  Production backends use :class:`MonotonicClock`
-(``time.monotonic``); the in-process simulation and every fleet test
-use :class:`ManualClock`, whose time only moves when the coordinator
+heartbeat intervals, backoff delays, worker respawns — reads one clock.
+Worker processes and the coordinator that waits for them read the wall
+clock (``time.time()``: the broker protocol assumes loosely
+synchronised hosts); the in-process fleet and every fleet test use
+:class:`ManualClock`, whose time only moves when the coordinator
 advances it.  That substitution is what makes the fault-injection
 harness deterministic *and* fast: a "60 second" lease timeout expires
 in microseconds of wall time, on an exactly reproducible tick.
@@ -18,19 +19,6 @@ would-be ``time.sleep`` through a clock.
 from __future__ import annotations
 
 import threading
-import time
-
-
-class MonotonicClock:
-    """The real deal: ``time.monotonic`` now, ``time.sleep`` sleeps."""
-
-    def now(self) -> float:
-        """Seconds on the process-wide monotonic clock."""
-        return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        """Block the calling thread for ``seconds``."""
-        time.sleep(seconds)
 
 
 class ManualClock:

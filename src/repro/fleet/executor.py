@@ -1,27 +1,30 @@
-"""The fleet executor: a coordinator, N leased workers, one broker.
+"""The fleet coordinator: one broker, N leased workers, one settle loop.
 
 :class:`FleetExecutor` satisfies the engine's executor contract — its
 ``run(payloads)`` returns one cell result per payload, in payload order
-— but instead of a thread or process pool it drives a work queue: every
-cell is enqueued on a broker keyed by its job digest, workers lease
-cells, compute them through the very same
-:func:`~repro.evaluation.engine._execute_payload` path as every other
-executor, heartbeat while busy, and complete back to the broker.  Lost
-workers, lost completions, and duplicated deliveries are therefore
-recoverable by protocol (expire → backoff → requeue → dead-letter), not
-by luck.
+— but instead of a pool it drives a work queue: every cell is enqueued
+on a broker keyed by its job digest, and
+:class:`~repro.fleet.net.worker.FleetWorker`\\ s lease, compute (through
+the same :func:`~repro.evaluation.engine._execute_payload` as every
+other executor), heartbeat, and complete it with its values, which the
+coordinator reads back from the broker.  Lost workers, lost
+completions, duplicated deliveries and raising cells are recovered by
+protocol (expire or fail → backoff → requeue → dead-letter).
 
-Determinism is the whole design.  The simulation runs on a
-:class:`~repro.fleet.clock.ManualClock`: workers are cooperatively
-stepped by the coordinator on virtual ticks, real compute happens at
-lease time (and is bit-identical regardless of scheduling, because
-every :class:`~repro.evaluation.TrialJob` carries its own seed
-material), and every injected fault is a pure function of the
-:class:`~repro.fleet.faults.FaultSchedule` seed and the cell digest.
-Run the same grid under the same schedule twice and you get the same
-leases, the same expiries, the same retries, the same dead letters —
-which is what lets tier-1 tests assert on failure modes instead of
-hoping for them.
+Only the broker and the clock differ between transports: without
+``FleetOptions.broker`` each run gets a fresh
+:class:`~repro.fleet.broker.InProcessBroker` and the coordinator steps
+``n_workers`` in-process workers on a
+:class:`~repro.fleet.clock.ManualClock`, with no threads; with it each
+run resets the socket broker at that address and, on the wall clock,
+``python -m repro fleet-worker`` processes compute.  On virtual time
+every injected fault is a pure function of the
+:class:`~repro.fleet.faults.FaultSchedule` seed and the cell digest, so
+the same grid under the same schedule gives the same leases, expiries,
+retries and dead letters on either broker — tier-1 tests assert on
+failure modes instead of hoping for them.  Values are bit-identical to
+serial throughout, because every :class:`~repro.evaluation.TrialJob`
+carries its own seed material.
 
 Cells the fleet could not complete (retry exhaustion) are returned as
 placeholder values with ``cacheable=False`` so the engine never
@@ -32,20 +35,23 @@ run instead.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, fields
+import time
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ReproError
 from .backoff import BackoffPolicy
-from .broker import InProcessBroker, Lease
+from .broker import DEAD, DONE, InProcessBroker
 from .clock import ManualClock
 from .faults import FaultSchedule
+
+#: Virtual seconds between coordinator rounds on a ManualClock.
+TICK = 1.0
 
 
 class FleetError(ReproError, RuntimeError):
     """The fleet could not finish a grid (dead letters under ``raise``,
-    or a coordinator stall, which is always a bug)."""
+    a run that did not settle in time, or a coordinator bug)."""
 
 
 @dataclass(frozen=True)
@@ -53,31 +59,30 @@ class FleetOptions:
     """Tuning knobs for one fleet: pool size, lease policy, faults.
 
     The defaults describe the CI fleet: 4 workers, a 5-virtual-second
-    lease kept alive by 2-second heartbeats, 3 attempts per cell, and
-    no injected faults.  Simulated cell durations span 1–8 virtual
-    seconds, so under the defaults long cells genuinely depend on their
-    heartbeats — suppressing them (``FaultSchedule.delay``) expires a
-    lease mid-compute, exactly the failure the protocol must absorb.
+    lease kept alive by heartbeats every third of it, 3 attempts per
+    cell, and no injected faults.  Simulated cell durations span 1–8
+    virtual seconds, so under the defaults long cells genuinely depend
+    on their heartbeats — suppressing them (``FaultSchedule.delay``)
+    expires a lease mid-compute, exactly the failure the protocol must
+    absorb.
     """
 
     n_workers: int = 4
     lease_timeout: float = 5.0
-    heartbeat_interval: float = 2.0
     max_attempts: int = 3
-    tick: float = 1.0
     backoff: BackoffPolicy = BackoffPolicy()
     faults: FaultSchedule = FaultSchedule()
     #: ``"record"`` returns placeholder cells (``cacheable=False``) and
     #: surfaces dead letters in stats/records; ``"raise"`` aborts.
     dead_letter_policy: str = "record"
-    #: ``HOST:PORT`` of a networked broker server.  When set,
-    #: :func:`create_fleet_executor` returns the remote coordinator
-    #: (:class:`~repro.fleet.net.executor.RemoteFleetExecutor`) instead
-    #: of the in-process simulation; ``n_workers``/``tick``/``faults``
-    #: then describe nothing — real worker processes bring their own.
+    #: ``HOST:PORT`` of a networked broker server.  When set, every run
+    #: resets the socket broker there instead of opening an in-process
+    #: one, and — unless the executor is handed a ManualClock — real
+    #: ``fleet-worker`` processes compute, so ``n_workers``/``faults``
+    #: describe nothing: the worker processes bring their own.
     broker: Optional[str] = None
-    #: Remote coordinator poll cadence (seconds between expire/settle
-    #: sweeps) and per-``run`` wall-clock budget.
+    #: Wall-clock coordinator poll cadence (seconds between
+    #: expire/settle sweeps) and per-``run`` wall-clock budget.
     poll_interval: float = 0.2
     run_timeout: float = 600.0
     #: How long one remote broker call rides out unreachability
@@ -85,19 +90,14 @@ class FleetOptions:
     #: ``ConnectionError`` — the window a journalled broker has to
     #: restart unnoticed.
     reconnect_timeout: float = 30.0
-    #: Discard another coordinator's in-flight run on ``reset`` instead
-    #: of failing with ``BrokerBusyError``.
-    force_reset: bool = False
 
     def __post_init__(self):
         """Validate pool and timing parameters."""
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.lease_timeout <= 0 or self.heartbeat_interval <= 0:
-            raise ValueError("lease_timeout and heartbeat_interval must be "
-                             "> 0")
-        if self.tick <= 0:
-            raise ValueError(f"tick must be > 0, got {self.tick}")
+        if self.lease_timeout <= 0:
+            raise ValueError(f"lease_timeout must be > 0, "
+                             f"got {self.lease_timeout}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, "
                              f"got {self.max_attempts}")
@@ -160,66 +160,8 @@ class FleetStats:
         return any(getattr(self, spec.name) for spec in fields(self))
 
 
-def assemble_results(order: Sequence[str], jobs: Dict[str, object],
-                     results: Dict[str, Tuple[List[float], Optional[float]]],
-                     dead: set, options: FleetOptions) -> List[Tuple]:
-    """Fold a settled run back into payload-order engine cell triples.
-
-    Shared by the in-process and networked coordinators: completed keys
-    become ``(values, elapsed, cacheable=True)`` cells, dead-lettered
-    keys become uncacheable placeholders (or abort the run under
-    ``dead_letter_policy="raise"``), and a key in neither map is a
-    coordinator bug worth crashing on.
-    """
-    out: List[Tuple] = []
-    for key in order:
-        if key in results:
-            values, elapsed = results[key]
-            out.append((list(values), elapsed, True))
-        elif key in dead:
-            if options.dead_letter_policy == "raise":
-                raise FleetError(
-                    f"cell {key} dead-lettered after "
-                    f"{options.max_attempts} attempts")
-            # Placeholder values, never cached: the run completes
-            # and records the loss instead of poisoning the cache.
-            out.append(([0.0] * jobs[key].n_trials, None, False))
-        else:
-            raise FleetError(f"coordinator lost track of cell {key}; "
-                             f"this is a fleet bug")
-    return out
-
-
-class _Worker:
-    """One cooperatively-stepped simulated worker."""
-
-    __slots__ = ("index", "lease", "values", "elapsed", "finish_at",
-                 "next_beat", "suppress", "drop", "killed")
-
-    def __init__(self, index: int):
-        self.index = index
-        self.lease: Optional[Lease] = None
-        self.reset()
-
-    def reset(self) -> None:
-        """Return to idle (a completed attempt, or a respawn)."""
-        self.lease = None
-        self.values = None
-        self.elapsed = None
-        self.finish_at = 0.0
-        self.next_beat = 0.0
-        self.suppress = False
-        self.drop = False
-        self.killed = False
-
-    @property
-    def busy(self) -> bool:
-        """Whether the worker currently holds a lease."""
-        return self.lease is not None
-
-
 class FleetExecutor:
-    """Work-queue executor over an in-process broker and virtual clock.
+    """The fleet's one coordinator: enqueue, settle, read back in order.
 
     Satisfies the engine's executor protocol (``run(payloads)`` →
     one ``(values, elapsed, cacheable)`` triple per payload, in payload
@@ -230,21 +172,24 @@ class FleetExecutor:
     including under injected faults — because jobs carry their own seed
     material and completion is idempotent per digest.
 
+    ``clock`` defaults to a fresh :class:`~repro.fleet.clock.ManualClock`
+    when ``options.broker`` is unset and to the wall clock (``None``)
+    when it is set; pass a ManualClock with a broker address to step
+    in-process workers over the socket broker.
+
     One instance accumulates :attr:`stats` and :attr:`dead_letters`
     across its ``run`` calls; the service tier creates one per recorded
     run so the totals describe exactly that record.
     """
 
     def __init__(self, options: Optional[FleetOptions] = None,
-                 clock: Optional[ManualClock] = None, broker_factory=None):
+                 clock: Optional[ManualClock] = None):
         self.options = options if options is not None else FleetOptions()
-        self.clock = clock if clock is not None else ManualClock()
-        #: Builds the per-run broker.  The default is the in-process
-        #: dict; tests inject a :class:`~repro.fleet.net.SocketBroker`
-        #: factory here to run the identical simulation over a real
-        #: socket server (the contract, not the transport, decides).
-        self.broker_factory = (broker_factory if broker_factory is not None
-                               else InProcessBroker)
+        if clock is None and self.options.broker is None:
+            clock = ManualClock()
+        #: Virtual time for stepped in-process workers, or ``None``:
+        #: wall time, with the workers in their own processes.
+        self.clock = clock
         self.stats = FleetStats()
         self.dead_letters: List[Dict[str, object]] = []
 
@@ -260,142 +205,174 @@ class FleetExecutor:
         """
         if not payloads:
             return []
+        broker = self._open_broker()
+        try:
+            order: List[str] = []
+            jobs: Dict[str, object] = {}
+            for point, job in payloads:
+                order.append(job.digest)
+                if broker.enqueue(job.digest, (point, job)):
+                    jobs[job.digest] = job
+            workers = self._spawn_workers(broker)
+            self._await_settled(broker, workers, len(jobs))
+            return self._settle(broker, workers, order, jobs)
+        finally:
+            if self.options.broker is not None:
+                self.stats.reconnects += broker.reconnects
+                broker.close()
+
+    def _open_broker(self):
+        """A fresh broker for one run: in-process, or the socket one reset.
+
+        The reset makes counters and dead letters describe exactly this
+        run; stale state from a previous run can never satisfy (or
+        block) this one.
+        """
         opts = self.options
-        broker = self.broker_factory(lease_timeout=opts.lease_timeout,
-                                     max_attempts=opts.max_attempts,
-                                     backoff=opts.backoff)
-        order: List[str] = []
-        jobs: Dict[str, object] = {}
-        for point, job in payloads:
-            order.append(job.digest)
-            if broker.enqueue(job.digest, (point, job)):
-                jobs[job.digest] = job
-        workers = [_Worker(i) for i in range(opts.n_workers)]
-        results: Dict[str, Tuple[List[float], Optional[float]]] = {}
-        self._simulate(broker, workers, results)
-        self._harvest(broker, jobs)
-        dead = {letter.key for letter in broker.dead_letters}
-        return assemble_results(order, jobs, results, dead, opts)
+        policy = dict(lease_timeout=opts.lease_timeout,
+                      max_attempts=opts.max_attempts, backoff=opts.backoff)
+        if opts.broker is None:
+            return InProcessBroker(**policy)
+        # Imported lazily: the socket tier is dead weight in-process.
+        from .net.client import SocketBroker
+        return SocketBroker(opts.broker, reset=True,
+                            reconnect_timeout=opts.reconnect_timeout,
+                            **policy)
 
-    # -- simulation ----------------------------------------------------------
+    def _spawn_workers(self, broker) -> list:
+        """The in-process workers a ManualClock run steps; none otherwise."""
+        if self.clock is None:
+            return []
+        from .net.worker import FleetWorker
+        return [FleetWorker(broker, clock=self.clock,
+                            faults=self.options.faults)
+                for _ in range(self.options.n_workers)]
 
-    def _duration(self, key: str) -> float:
-        """A cell's simulated compute time: 1–8 virtual seconds.
+    # -- settling ------------------------------------------------------------
 
-        Deterministic per digest, independent of the fault seed, and
-        spanning the lease timeout so heartbeats are load-bearing.
+    def _await_settled(self, broker, workers: list, n_cells: int) -> None:
+        """Step, reap and wait until every cell is DONE or DEAD.
+
+        One loop for both clocks: lease queued cells onto idle
+        in-process workers, move the clock on (one :data:`TICK`, a jump
+        to the next backoff release when every worker is idle, or a
+        ``poll_interval`` sleep on the wall clock), step the workers,
+        and reap expired leases — load-bearing on the wall clock, where
+        nobody else reaps the leases of dead worker processes.  A broker
+        unreachable past its client's ``reconnect_timeout`` is waited
+        out, so one restarted from its journal resumes the run.  One
+        guard bounds the loop on the run's own clock: ``run_timeout``
+        wall seconds, or a virtual span no correct run reaches (200
+        ticks plus a full backoff hold per attempt).
         """
-        word = hashlib.blake2b(f"duration\x1f{key}".encode("utf-8"),
-                               digest_size=8).digest()
-        return 1.0 + int.from_bytes(word, "little") % 8
-
-    def _assign(self, worker: _Worker, lease: Lease, now: float) -> None:
-        """Hand a lease to a worker, rolling its fault dice."""
-        faults = self.options.faults
-        worker.lease = lease
-        worker.killed = faults.kill_worker(lease.key, lease.attempt)
-        worker.drop = faults.drop_completion(lease.key, lease.attempt)
-        worker.suppress = faults.delay_heartbeat(lease.key, lease.attempt)
-        worker.finish_at = now + self._duration(lease.key)
-        worker.next_beat = now + self.options.heartbeat_interval
-        if worker.killed:
-            # The worker dies mid-job: its values never exist, its
-            # lease dangles until the broker reaps it.
-            self.stats.killed += 1
-            return
-        point, job = lease.payload
-        from ..evaluation.engine import _execute_payload
-        worker.values, worker.elapsed = _execute_payload((point, job))
-
-    def _dispatch(self, broker: InProcessBroker, workers: List[_Worker],
-                  now: float, dup_queue: List[str]) -> None:
-        """Lease eligible tasks onto idle workers (duplicates included).
-
-        Duplicate deliveries the schedule demands while every worker is
-        busy are deferred in ``dup_queue`` and served ahead of fresh
-        leases the moment a worker frees — as long as the original
-        attempt is still in flight (a task that completed first simply
-        never gets its twin, like a real redelivery racing completion).
-        """
-        faults = self.options.faults
-        while dup_queue:
-            worker = next((w for w in workers if not w.busy), None)
-            if worker is None:
-                return
-            dup = broker.duplicate_lease(dup_queue.pop(0), now)
-            if dup is not None:
-                self._assign(worker, dup, now)
+        opts = self.options
+        if self.clock is None:
+            budget = opts.run_timeout
+        else:
+            attempts = n_cells * opts.max_attempts
+            budget = ((1000 + 200 * attempts) * TICK
+                      + attempts * opts.backoff.cap)
+        deadline = self._now() + budget
+        twins: List[str] = []
         while True:
-            worker = next((w for w in workers if not w.busy), None)
-            if worker is None:
-                return
+            now = self._now()
+            try:
+                if broker.outstanding() == 0:
+                    return
+                if now >= deadline:
+                    raise self._stalled(n_cells, budget)
+                busy = self._dispatch(broker, workers, now, twins)
+                if workers and not busy:
+                    # Everything queued is on a backoff hold: jump
+                    # straight to the next release instead of ticking.
+                    hold = broker.next_eligible()
+                    if hold is not None and hold > now:
+                        self.clock.advance(hold - now)
+                        continue
+                now = self._advance()
+                for worker in workers:
+                    worker.step(now)
+                reaped = set(broker.expire(now))
+                for worker in workers:
+                    if worker.dead and worker.held.lease_id in reaped:
+                        # The broker noticed the death; respawn the worker.
+                        worker.respawn()
+            except (ConnectionError, OSError) as exc:
+                if self._now() >= deadline:
+                    raise self._stalled(n_cells, budget, exc) from exc
+                self._advance()
+
+    def _dispatch(self, broker, workers: list, now: float,
+                  twins: List[str]) -> bool:
+        """Lease cells onto idle in-process workers; whether any is busy.
+
+        Duplicate deliveries the fault schedule demands wait in
+        ``twins`` and are served ahead of fresh leases the moment a
+        worker is idle — as long as the original attempt is still in
+        flight (a cell that completed first simply never gets its twin,
+        like a real redelivery racing completion).
+        """
+        def idle():
+            return next((w for w in workers if w.held is None), None)
+
+        worker = idle()
+        while worker is not None and twins:
+            twin = broker.duplicate_lease(twins.pop(0), now)
+            if twin is not None:
+                worker._attempt(twin)
+                worker = idle()
+        while worker is not None:
             lease = broker.lease(now)
             if lease is None:
-                return
-            self._assign(worker, lease, now)
-            if faults.duplicate_delivery(lease.key, lease.attempt):
-                dup_queue.append(lease.key)
+                break
+            worker._attempt(lease)
+            if self.options.faults.duplicate_delivery(lease.key,
+                                                      lease.attempt):
+                twins.append(lease.key)
+            worker = idle()
+        return any(w.held is not None for w in workers)
 
-    def _step(self, broker: InProcessBroker, workers: List[_Worker],
-              results: Dict, now: float) -> None:
-        """Advance every busy worker one tick: finish, beat, or wait."""
-        for worker in workers:
-            if not worker.busy or worker.killed:
-                continue
-            if now >= worker.finish_at:
-                if worker.drop:
-                    # The completion message is lost in transit; the
-                    # lease dangles and the broker will retry the cell.
-                    self.stats.dropped += 1
-                else:
-                    status = broker.complete(worker.lease.lease_id, now)
-                    if status != "duplicate" and worker.lease.key not in results:
-                        results[worker.lease.key] = (worker.values,
-                                                     worker.elapsed)
-                worker.reset()
-            elif now >= worker.next_beat:
-                if not worker.suppress:
-                    broker.heartbeat(worker.lease.lease_id, now)
-                worker.next_beat = now + self.options.heartbeat_interval
+    def _now(self) -> float:
+        """The run's time: virtual on a ManualClock, else wall seconds."""
+        return self.clock.now() if self.clock is not None else time.time()
 
-    def _simulate(self, broker: InProcessBroker, workers: List[_Worker],
-                  results: Dict) -> None:
-        """The coordinator loop: dispatch, tick, step, reap — to quiescence."""
-        opts = self.options
-        limit = 1000 + int(
-            200 * broker.counters["enqueued"] * opts.max_attempts)
-        iterations = 0
-        dup_queue: List[str] = []
-        while broker.outstanding() > 0:
-            iterations += 1
-            if iterations > limit:
-                raise FleetError(
-                    f"fleet made no progress after {limit} ticks with "
-                    f"{broker.outstanding()} cells outstanding; "
-                    f"this is a coordinator bug")
-            now = self.clock.now()
-            self._dispatch(broker, workers, now, dup_queue)
-            if not any(w.busy for w in workers):
-                # Everything queued is on a backoff hold: jump straight
-                # to the next release instead of spinning ticks.
-                hold = broker.next_eligible()
-                if hold is not None and hold > now:
-                    self.clock.advance(hold - now)
-                    continue
-            now = self.clock.advance(opts.tick)
-            self._step(broker, workers, results, now)
-            reaped = set(broker.expire(now))
-            for worker in workers:
-                if (worker.busy and worker.killed
-                        and worker.lease.lease_id in reaped):
-                    # The broker noticed the death; respawn the worker.
-                    worker.reset()
+    def _advance(self) -> float:
+        """Move the run's clock on by one round; the new time."""
+        if self.clock is not None:
+            return self.clock.advance(TICK)
+        time.sleep(self.options.poll_interval)
+        return time.time()
 
-    def _harvest(self, broker: InProcessBroker, jobs: Dict) -> None:
-        """Fold one settled broker into the executor-lifetime telemetry."""
+    def _stalled(self, n_cells: int, budget: float,
+                 cause: Optional[BaseException] = None) -> FleetError:
+        """The error for a run that outlived its budget."""
+        if self.clock is not None:
+            hint = " of virtual time; this is a coordinator bug"
+        elif cause is not None:
+            hint = f": broker at {self.options.broker} unreachable ({cause})"
+        else:
+            hint = (f" (are any workers running against "
+                    f"{self.options.broker}?)")
+        return FleetError(f"fleet did not settle {n_cells} cells within "
+                          f"{budget:g}s{hint}")
+
+    def _settle(self, broker, workers: list, order: Sequence[str],
+                jobs: Dict[str, object]) -> List[Tuple]:
+        """Fold a settled run into the telemetry; cells in payload order.
+
+        Completed keys become ``(values, elapsed, cacheable=True)`` cells
+        read back from the broker, dead-lettered keys uncacheable
+        placeholders (or a :class:`FleetError` under
+        ``dead_letter_policy="raise"``), and a key in neither state is a
+        coordinator bug worth crashing on.
+        """
         for name, value in broker.counters.items():
             setattr(self.stats, name, getattr(self.stats, name) + value)
+        self.stats.killed += sum(worker.killed for worker in workers)
+        self.stats.dropped += sum(worker.dropped for worker in workers)
+        letters = {}
         for letter in broker.dead_letters:
+            letters[letter.key] = letter
             job = jobs[letter.key]
             self.dead_letters.append({
                 "digest": letter.key,
@@ -404,6 +381,27 @@ class FleetExecutor:
                 "attempts": letter.attempts,
                 "reason": letter.reason,
             })
+        out: List[Tuple] = []
+        for key in order:
+            state = broker.state(key)
+            if state == DONE:
+                result = broker.result(key)
+                if result is None:
+                    raise FleetError(f"cell {key} completed without "
+                                     f"shipping its values")
+                values, elapsed = result
+                out.append((list(values), elapsed, True))
+            elif state == DEAD:
+                if self.options.dead_letter_policy == "raise":
+                    raise FleetError(f"cell {key} dead-lettered: "
+                                     f"{letters[key].reason}")
+                # Placeholder values, never cached: the run completes
+                # and records the loss instead of poisoning the cache.
+                out.append(([0.0] * jobs[key].n_trials, None, False))
+            else:
+                raise FleetError(f"cell {key} still {state!r} after the "
+                                 f"fleet settled; this is a coordinator bug")
+        return out
 
     # -- record/stats payloads ----------------------------------------------
 
@@ -418,24 +416,3 @@ class FleetExecutor:
         if self.dead_letters:
             payload["dead_letters"] = [dict(d) for d in self.dead_letters]
         return payload
-
-
-def create_fleet_executor(options: Optional[FleetOptions] = None,
-                          clock: Optional[ManualClock] = None):
-    """The fleet executor an options object actually asks for.
-
-    ``options.broker`` unset: the deterministic in-process simulation
-    (:class:`FleetExecutor`).  Set: the networked coordinator
-    (:class:`~repro.fleet.net.executor.RemoteFleetExecutor`) that
-    enqueues onto the socket broker at that address and lets real
-    worker processes compute.  Both satisfy the executor protocol and
-    expose the same ``stats``/``dead_letters``/``record_payload``
-    surface, so every caller upstream is transport-blind.
-    """
-    opts = options if options is not None else FleetOptions()
-    if opts.broker:
-        # Imported lazily: the networked tier is dead weight for the
-        # simulated fleet, and the module import would be circular.
-        from .net.executor import RemoteFleetExecutor
-        return RemoteFleetExecutor(opts)
-    return FleetExecutor(opts, clock=clock)

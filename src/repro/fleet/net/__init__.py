@@ -1,9 +1,10 @@
-"""Networked fleet backend: socket broker, real workers, remote executor.
+"""Networked fleet backend: socket broker, broker server, worker loop.
 
-The in-process fleet of :mod:`repro.fleet` simulates workers on a
-virtual clock; this package runs the *same* broker state machine behind
-a TCP socket so that real worker processes on real machines lease,
-compute, and complete digest-keyed cells:
+The fleet of :mod:`repro.fleet` has one coordinator and one worker; this
+package holds the worker and the transport that lets it live on another
+machine.  The same broker state machine runs behind a TCP socket so
+that real worker processes lease, compute, and complete digest-keyed
+cells:
 
 * :mod:`~repro.fleet.net.protocol` — the JSON-lines wire protocol, one
   request/response pair per broker method, explicit ``now`` preserved;
@@ -11,14 +12,13 @@ compute, and complete digest-keyed cells:
   over one lock-protected :class:`~repro.fleet.broker.InProcessBroker`
   (``python -m repro broker``);
 * :class:`~repro.fleet.net.client.SocketBroker` — a client satisfying
-  the broker method contract verbatim, drop-in behind
-  :class:`~repro.fleet.executor.FleetExecutor`;
-* :mod:`~repro.fleet.net.worker` — the real worker loop
-  (``python -m repro fleet-worker``): lease, heartbeat on the wall
-  clock, compute through the unchanged engine job path, complete with
-  provenance-stamped values;
-* :class:`~repro.fleet.net.executor.RemoteFleetExecutor` — the
-  coordinator used for ``--executor fleet --broker HOST:PORT``.
+  the broker method contract verbatim, which
+  :class:`~repro.fleet.executor.FleetExecutor` opens whenever
+  ``FleetOptions.broker`` is set;
+* :class:`~repro.fleet.net.worker.FleetWorker` — the fleet's one worker:
+  stepped on a ManualClock by the coordinator, or the wall-clock process
+  loop of ``python -m repro fleet-worker``: lease, heartbeat, compute
+  through the unchanged engine job path, complete with the values.
 
 Results remain bit-identical to the serial executor because every
 :class:`~repro.evaluation.TrialJob` carries its own seed material and
@@ -27,7 +27,6 @@ values it moves.
 """
 
 from .client import SocketBroker
-from .executor import RemoteFleetExecutor
 from .protocol import PROTOCOL_VERSION, ProtocolError
 from .server import BrokerServer
 from .worker import FleetWorker
@@ -37,6 +36,5 @@ __all__ = [
     "FleetWorker",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RemoteFleetExecutor",
     "SocketBroker",
 ]

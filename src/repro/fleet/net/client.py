@@ -2,10 +2,9 @@
 
 A drop-in for :class:`~repro.fleet.broker.InProcessBroker`: same
 methods, same signatures, same return shapes, same exceptions — which
-is exactly what lets the unchanged
-:class:`~repro.fleet.executor.FleetExecutor` drive a *networked* broker
-through its ``broker_factory`` hook, and what lets the broker contract
-tests run verbatim against the socket.
+is exactly what lets :class:`~repro.fleet.executor.FleetExecutor` run
+on either broker (``FleetOptions.broker`` picks), and what lets the
+broker contract tests run verbatim against the socket.
 
 The client is thread-safe (one lock around each request/response
 exchange) so a worker's heartbeat thread can share its compute loop's

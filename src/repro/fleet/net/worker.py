@@ -1,36 +1,44 @@
-"""``python -m repro fleet-worker`` — a real leased worker process.
+"""``python -m repro fleet-worker`` — the fleet's one worker.
 
-The worker loop is the production twin of the simulated
-:class:`~repro.fleet.executor._Worker`: lease a digest-keyed cell from
-the socket broker, heartbeat on the wall clock while computing, execute
-through the *unchanged* engine job path
-(:func:`~repro.evaluation.engine._execute_payload` — the same function
-every local executor calls), and complete back with the trial values.
-Because each :class:`~repro.evaluation.TrialJob` carries its own seed
-material, a cell computed on any worker on any machine is bit-identical
-to a serial run of the same grid.
+:class:`FleetWorker` takes a cell's lease, rolls the attempt's fault
+dice (kill, drop, delay), takes the values from its local cache or
+computes them through the *unchanged* engine job path
+(:func:`~repro.evaluation.engine._execute_payload`, as every executor
+does), and completes back to the broker with them.  A compute that
+raises is reported with ``fail`` — the broker retries the cell and
+finally dead-letters it with the exception as the reason — and the
+worker carries on.  Each :class:`~repro.evaluation.TrialJob` carries
+its own seed material, so a cell computed on any worker is
+bit-identical to a serial run.
 
-Workers may hold a local :class:`~repro.evaluation.ResultCache`: a
-leased cell already present locally completes instantly, and a bounded
+On the wall clock, :meth:`FleetWorker.run` is the ``fleet-worker``
+process loop: poll for a lease, heartbeat on a thread while computing,
+complete at once; a scheduled kill is ``os._exit`` mid-lease.  On a
+:class:`~repro.fleet.clock.ManualClock` the coordinator hands it leases
+and steps it on virtual ticks with no threads: it holds each lease for
+the cell's simulated duration (1–8 virtual seconds, spanning the
+default lease timeout so heartbeats are load-bearing), heartbeats on
+ticks, and a scheduled kill leaves it dead until the broker reaps the
+lease.  CI forces ``(digest, attempt)`` kill coordinates to murder
+exactly one worker process per run and still demand a bit-identical
+record.
+
+A local :class:`~repro.evaluation.ResultCache` completes cells it
+already holds instantly; a bounded
 :class:`~repro.evaluation.EvictionPolicy` keeps long-lived workers from
 growing without bound while baseline-pinned digests stay put.
-
-The same :class:`~repro.fleet.faults.FaultSchedule` that drives the
-deterministic harness drives *real* chaos here: a scheduled kill is
-``os._exit`` mid-lease (the process dies, heartbeats stop, the broker
-reaps the lease), a scheduled drop discards the completion message.
-CI uses forced ``(digest, attempt)`` coordinates to murder exactly one
-worker per run and still demand a bit-identical record.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import signal
 import sys
 import threading
 import time
+import traceback
 from typing import List, Optional, Tuple
 
 from ..backoff import BackoffPolicy
@@ -48,16 +56,21 @@ def _default_kill() -> None:  # pragma: no cover - exercised in subprocesses
 
 
 class FleetWorker:
-    """One worker: lease, heartbeat, compute, complete — until idle.
+    """One worker: lease, fault dice, cache or compute, complete.
 
-    ``on_kill`` is the fault-injection death hook: the CLI worker uses
-    ``os._exit`` (a real process death, mid-lease), while in-process
-    tests substitute a soft stop so a "killed" worker thread simply
-    abandons its lease — indistinguishable from death as far as the
-    broker is concerned.
+    ``broker`` is any broker (in-process or socket).  ``clock=None``
+    runs the wall-clock loop of :meth:`run`; a ManualClock makes a
+    worker its coordinator steps (:meth:`_attempt` per lease it hands
+    out, :meth:`step` per tick, :meth:`respawn` once the broker reaps a
+    dead worker's lease).  ``heartbeat_interval`` (default: a third of
+    the lease timeout) must lie strictly between 0, which would hammer
+    the broker, and the lease timeout, past which long cells' leases
+    expire.  ``on_kill`` is the wall-clock death hook: ``os._exit`` for
+    the CLI worker, a soft stop for worker threads in tests — either way
+    the lease is abandoned, indistinguishable from death to the broker.
     """
 
-    def __init__(self, broker: SocketBroker, *, cache=None,
+    def __init__(self, broker, *, clock=None, cache=None,
                  faults: Optional[FaultSchedule] = None,
                  poll_interval: float = 0.2,
                  idle_exit: Optional[float] = None,
@@ -67,14 +80,19 @@ class FleetWorker:
         if poll_interval <= 0:
             raise ValueError(f"poll_interval must be > 0, "
                              f"got {poll_interval}")
+        interval = (broker.lease_timeout / 3.0 if heartbeat_interval is None
+                    else float(heartbeat_interval))
+        if not 0 < interval < broker.lease_timeout:
+            raise ValueError(f"heartbeat_interval must be > 0 and below "
+                             f"the lease timeout {broker.lease_timeout}, "
+                             f"got {heartbeat_interval}")
         self.broker = broker
+        self.clock = clock
         self.cache = cache
         self.faults = faults if faults is not None else FaultSchedule()
         self.poll_interval = float(poll_interval)
         self.idle_exit = idle_exit
-        self.heartbeat_interval = (heartbeat_interval if heartbeat_interval
-                                   is not None
-                                   else broker.lease_timeout / 3.0)
+        self.heartbeat_interval = interval
         #: Backoff between lease polls while the broker is unreachable
         #: — a worker outlives broker downtime instead of exiting.
         self.retry = (retry if retry is not None
@@ -85,23 +103,49 @@ class FleetWorker:
         self.leased = 0
         self.completed = 0
         self.dropped = 0
+        self.killed = 0
+        self.failed = 0
         self.cache_hits = 0
         self.broker_retries = 0
         self.abandoned = 0
+        #: The lease being worked on, and whether the worker died holding
+        #: it.  A stepped worker holds its lease across ticks.
+        self.held: Optional[Lease] = None
+        self.dead = False
+        self._result: Tuple = (None, None)  # (values, elapsed)
+        self._finish_at = 0.0
+        self._next_beat = 0.0
+        self._quiet = False
         self._stop = threading.Event()
 
     def stop(self) -> None:
         """Ask the run loop to exit after the current lease settles."""
         self._stop.set()
 
+    def _now(self) -> float:
+        """The worker's time: virtual when stepped, else wall seconds."""
+        return self.clock.now() if self.clock is not None else time.time()
+
+    @staticmethod
+    def _duration(key: str) -> float:
+        """A cell's simulated compute time on a ManualClock: 1–8 seconds.
+
+        Deterministic per digest, independent of the fault seed, and
+        spanning the default lease timeout so heartbeats are
+        load-bearing.
+        """
+        word = hashlib.blake2b(f"duration\x1f{key}".encode("utf-8"),
+                               digest_size=8).digest()
+        return 1.0 + int.from_bytes(word, "little") % 8
+
     def run(self) -> int:
         """Lease and compute until stopped or idle; returns cells leased.
 
-        An unreachable broker does not kill the worker: lease polls are
-        retried under the seeded :attr:`retry` backoff (counted in
-        :attr:`broker_retries`) until the broker returns — restarted
-        from its journal, redelivering idempotently — or ``idle_exit``
-        elapses.
+        The wall-clock process loop.  An unreachable broker does not
+        kill the worker: lease polls are retried under the seeded
+        :attr:`retry` backoff (counted in :attr:`broker_retries`) until
+        the broker returns — restarted from its journal, redelivering
+        idempotently — or ``idle_exit`` elapses.
         """
         idle_since = time.time()
         outages = 0
@@ -124,7 +168,6 @@ class FleetWorker:
                 self._stop.wait(self.poll_interval)
                 continue
             idle_since = time.time()
-            self.leased += 1
             if not self._attempt(lease):
                 # The kill hook declined to die for real (a test double):
                 # abandon the lease exactly as a dead process would.
@@ -134,22 +177,71 @@ class FleetWorker:
     # -- one attempt ---------------------------------------------------------
 
     def _attempt(self, lease: Lease) -> bool:
-        """Run one leased attempt; ``False`` means "this worker died"."""
+        """Run one leased attempt; ``False`` means "this worker died".
+
+        Every worker's one path: fault dice, then the values (cache or
+        compute), then the completion.  On the wall clock the completion
+        follows the compute at once; a stepped worker holds the lease
+        for the cell's simulated duration and completes from
+        :meth:`step`.
+        """
+        self.leased += 1
+        self.held = lease
         if self.faults.kill_worker(lease.key, lease.attempt):
-            print(f"[{self.label}] killed mid-lease "
-                  f"cell={lease.key} attempt={lease.attempt}", flush=True)
-            self.on_kill()
+            self.killed += 1
+            self.dead = True
+            self._say("killed mid-lease", lease)
+            if self.clock is None:
+                self.on_kill()
             return False
-        values, elapsed = self._compute(lease)
+        quiet = self.faults.delay_heartbeat(lease.key, lease.attempt)
+        try:
+            self._result = self._compute(lease, beat=not quiet)
+        except Exception as exc:  # noqa: BLE001 - becomes the dead letter
+            self._fail(lease, f"{type(exc).__name__}: {exc}")
+            return True
+        now = self._now()
+        if self.clock is None:
+            self._finish(now)
+        else:
+            self._finish_at = now + self._duration(lease.key)
+            self._next_beat = now + self.heartbeat_interval
+            self._quiet = quiet
+        return True
+
+    def step(self, now: float) -> None:
+        """Move a stepped worker to ``now``: finish its lease, or beat.
+
+        The held lease completes once its simulated duration is up;
+        until then heartbeats go out when due, unless the delay dice
+        suppressed them.  A dead worker does nothing.
+        """
+        if self.held is None or self.dead:
+            return
+        if now >= self._finish_at:
+            self._finish(now)
+        elif now >= self._next_beat:
+            if not self._quiet:
+                self.broker.heartbeat(self.held.lease_id, now)
+            self._next_beat = now + self.heartbeat_interval
+
+    def respawn(self) -> None:
+        """Come back idle after dying: the broker reaped the dead lease."""
+        self.held = None
+        self.dead = False
+
+    def _finish(self, now: float) -> None:
+        """Complete the held attempt, unless the drop dice lose it."""
+        lease, (values, elapsed) = self.held, self._result
+        self.held = None
         if self.faults.drop_completion(lease.key, lease.attempt):
             # The completion message is "lost in transit": never sent.
             # The lease dangles until the broker reaps it and retries.
             self.dropped += 1
-            print(f"[{self.label}] dropped completion "
-                  f"cell={lease.key} attempt={lease.attempt}", flush=True)
-            return True
+            self._say("dropped completion", lease)
+            return
         try:
-            status = self.broker.complete(lease.lease_id, time.time(),
+            status = self.broker.complete(lease.lease_id, now,
                                           values=values, elapsed=elapsed)
         except (ConnectionError, OSError, KeyError):
             # The broker stayed unreachable past the client's reconnect
@@ -157,20 +249,49 @@ class FleetWorker:
             # post-reset).  Abandon the attempt: the protocol repairs it
             # like any dropped completion, by expiry and retry.
             self.abandoned += 1
-            print(f"[{self.label}] abandoned completion "
-                  f"cell={lease.key} attempt={lease.attempt} "
-                  f"(broker unreachable)", flush=True)
-            return True
+            self._say("abandoned completion", lease, "(broker unreachable)")
+            return
         if status in ("completed", "late"):
             self.completed += 1
-        return True
 
-    def _compute(self, lease: Lease) -> Tuple[List[float], Optional[float]]:
+    def _fail(self, lease: Lease, reason: str) -> None:
+        """Report a raising compute; the broker retries or buries it.
+
+        Called while the exception is being handled, so a worker process
+        logs its traceback too.
+        """
+        self.held = None
+        self.failed += 1
+        self._say("failed", lease, reason)
+        if self.clock is None:
+            traceback.print_exc()
+        try:
+            self.broker.fail(lease.lease_id, self._now(), reason=reason)
+        except (ConnectionError, OSError, KeyError):
+            # Unreported, the lease expires and the cell retries anyway.
+            self.abandoned += 1
+
+    def _say(self, event: str, lease: Lease, note: str = "") -> None:
+        """One log line about an attempt, on the wall clock only.
+
+        A stepped worker runs inside its coordinator's process, whose
+        output is the caller's; its events surface in the coordinator's
+        counters and dead letters instead.
+        """
+        if self.clock is None:
+            print(f"[{self.label}] {event} cell={lease.key} "
+                  f"attempt={lease.attempt}" + (f" {note}" if note else ""),
+                  flush=True)
+
+    def _compute(self, lease: Lease, beat: bool
+                 ) -> Tuple[List[float], Optional[float]]:
         """The cell's values: from the local cache, or freshly computed.
 
-        Fresh computation runs under a heartbeat thread beating every
-        :attr:`heartbeat_interval` wall-clock seconds, so a slow cell's
-        lease stays alive exactly as long as this process does.
+        On the wall clock fresh computation runs under a heartbeat
+        thread beating every :attr:`heartbeat_interval` seconds (unless
+        ``beat`` is false), so a slow cell's lease stays alive exactly
+        as long as this process does.  A stepped worker beats from
+        :meth:`step` instead.
         """
         point, job = lease.payload
         if self.cache is not None:
@@ -179,32 +300,47 @@ class FleetWorker:
                 self.cache_hits += 1
                 return cached, None
         beat_stop = threading.Event()
-
-        def beat():
-            while not beat_stop.wait(self.heartbeat_interval):
-                try:
-                    if not self.broker.heartbeat(lease.lease_id,
-                                                 time.time()):
-                        return  # lease gone; the broker moved on
-                except (OSError, ConnectionError):
-                    return
-        beater = threading.Thread(target=beat, daemon=True,
-                                  name=f"repro-heartbeat-{lease.lease_id}")
-        beater.start()
+        beater = None
+        if beat and self.clock is None:
+            beater = threading.Thread(
+                target=self._beat, args=(lease, beat_stop), daemon=True,
+                name=f"repro-heartbeat-{lease.lease_id}")
+            beater.start()
         try:
             from ...evaluation.engine import _execute_payload
             values, elapsed = _execute_payload((point, job))
         finally:
-            beat_stop.set()
-            beater.join(timeout=5.0)
+            if beater is not None:
+                beat_stop.set()
+                beater.join(timeout=5.0)
         if self.cache is not None:
             self.cache.put(job, values)
         return values, elapsed
+
+    def _beat(self, lease: Lease, stop: threading.Event) -> None:
+        """Wall-clock heartbeats for one lease until ``stop`` is set."""
+        while not stop.wait(self.heartbeat_interval):
+            try:
+                if not self.broker.heartbeat(lease.lease_id, time.time()):
+                    return  # lease gone; the broker moved on
+            except (OSError, ConnectionError):
+                return
 
 
 # ---------------------------------------------------------------------------
 # CLI entry point.
 # ---------------------------------------------------------------------------
+
+def _positive_seconds(text: str) -> float:
+    """A ``--heartbeat-interval`` value: seconds, strictly positive."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected seconds, got {text!r}")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
 
 def _parse_coordinate(text: str) -> Tuple[str, int]:
     """A forced-fault flag value ``DIGEST:ATTEMPT`` as a tuple."""
@@ -249,9 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                           "retry with backoff)")
     parser.add_argument("--idle-exit", type=float, default=None, metavar="S",
                         help="exit after S continuous seconds without work")
-    parser.add_argument("--heartbeat-interval", type=float, default=None,
-                        metavar="S", help="override the lease_timeout/3 "
-                                          "heartbeat cadence")
+    parser.add_argument("--heartbeat-interval", type=_positive_seconds,
+                        default=None, metavar="S",
+                        help="override the lease_timeout/3 heartbeat "
+                             "cadence (0 < S < lease timeout)")
     parser.add_argument("--fault-seed", type=int, default=0,
                         help="seed for the probabilistic fault coins")
     parser.add_argument("--kill-rate", type=float, default=0.0,
@@ -312,10 +449,16 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 1
     label = f"worker:{os.getpid()}"
-    worker = FleetWorker(broker, cache=cache, faults=faults,
-                         poll_interval=args.poll, idle_exit=args.idle_exit,
-                         heartbeat_interval=args.heartbeat_interval,
-                         label=label)
+    try:
+        worker = FleetWorker(broker, cache=cache, faults=faults,
+                             poll_interval=args.poll,
+                             idle_exit=args.idle_exit,
+                             heartbeat_interval=args.heartbeat_interval,
+                             label=label)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        broker.close()
+        return 2
     print(f"[{label}] polling broker {args.broker} "
           f"lease_timeout={broker.lease_timeout}", flush=True)
     signal.signal(signal.SIGTERM, _graceful_exit)
@@ -326,7 +469,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         print(f"[{label}] exiting leased={worker.leased} "
               f"completed={worker.completed} dropped={worker.dropped} "
-              f"abandoned={worker.abandoned} "
+              f"failed={worker.failed} abandoned={worker.abandoned} "
               f"broker_retries={worker.broker_retries} "
               f"cache_hits={worker.cache_hits}", flush=True)
         broker.close()

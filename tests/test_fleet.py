@@ -36,6 +36,7 @@ from repro.fleet import (
     InProcessBroker,
     ManualClock,
 )
+from repro.fleet.net import FleetWorker
 from repro.results import diff_records, load_record, save_record
 from repro.service import ServiceCore
 
@@ -75,6 +76,11 @@ def _run(executor):
     """The acceptance grid through any executor."""
     return run_grid(_fleet_point, "x", X_VALUES, "series", SERIES_VALUES,
                     n_trials=N_TRIALS, seed=GRID_SEED, executor=executor)
+
+
+def _raising_point(series, x, rng):
+    """A grid point whose ``x == 2`` cells raise ``ZeroDivisionError``."""
+    return float(series) / (float(x) - 2.0) + float(rng.normal())
 
 
 class TestManualClock:
@@ -395,8 +401,6 @@ class TestEngineRegistration:
         with pytest.raises(ValueError):
             FleetOptions(n_workers=0)
         with pytest.raises(ValueError):
-            FleetOptions(tick=0.0)
-        with pytest.raises(ValueError):
             FleetOptions(max_attempts=0)
         with pytest.raises(ValueError):
             FleetOptions(dead_letter_policy="shrug")
@@ -419,19 +423,18 @@ class TestFleetExecutor:
         """The issue's acceptance bar: 8 cells, >=1 killed worker and
         >=1 duplicated completion, run_id-grade parity with serial."""
         digests = _grid_digests()
-        probe = FleetExecutor()
         kill_target, drop_target = digests[0], digests[1]
         faulted = {kill_target, drop_target}
         # Heartbeat suppression only bites cells outliving the lease.
         long_cells = [d for d in digests if d not in faulted
-                      and probe._duration(d) > 5.0]
+                      and FleetWorker._duration(d) > 5.0]
         delay_target = long_cells[0] if long_cells else None
         faulted |= {delay_target} if delay_target else set()
         # The duplicate twin shares its original's attempt number, so a
         # target with another scripted fault would die twice — pick the
         # longest-running clean cell to guarantee the twin dispatches.
         dup_target = max((d for d in digests if d not in faulted),
-                         key=probe._duration)
+                         key=FleetWorker._duration)
         faults = FaultSchedule(
             kill=frozenset({(kill_target, 0)}),
             drop=frozenset({(drop_target, 0)}),
@@ -509,6 +512,32 @@ class TestFleetExecutor:
         payload = executor.record_payload()
         assert payload["counters"]["dead"] == 1
         assert payload["dead_letters"][0]["digest"] == poisoned
+
+    def test_raising_cell_dead_letters_and_the_workers_carry_on(self):
+        """A cell that raises is failed back to the broker, retried, and
+        dead-lettered with the exception as its reason — it neither
+        kills a worker nor escapes the run."""
+        grid = dict(n_trials=N_TRIALS, seed=GRID_SEED)
+        executor = FleetExecutor(FleetOptions(n_workers=2))
+        fleet = run_grid(_raising_point, "x", [1, 2, 3], "series", [10],
+                         executor=executor, **grid)
+        stats = executor.stats
+        [letter] = executor.dead_letters
+        assert letter["sweep_value"] == 2
+        assert "ZeroDivisionError" in letter["reason"]
+        assert letter["attempts"] == executor.options.max_attempts
+        # Every attempt was failed and retried; no worker died of it.
+        assert stats.dead == 1 and stats.killed == 0
+        assert stats.completed == 2
+        assert stats.leased == 2 + executor.options.max_attempts
+        healthy = run_grid(_raising_point, "x", [1, 3], "series", [10],
+                           **grid)
+        assert fleet.series[10][0] == healthy.series[10][0]
+        assert fleet.series[10][2] == healthy.series[10][1]
+        strict = FleetExecutor(FleetOptions(dead_letter_policy="raise"))
+        with pytest.raises(FleetError, match="ZeroDivisionError"):
+            run_grid(_raising_point, "x", [1, 2, 3], "series", [10],
+                     executor=strict, **grid)
 
 
 class TestServiceTierFleet:

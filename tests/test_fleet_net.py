@@ -11,11 +11,11 @@ Three layers, cheapest first: pure protocol round-trips, the
 :class:`~repro.fleet.net.SocketBroker` satisfying the broker method
 contract verbatim against a live :class:`~repro.fleet.net.BrokerServer`
 (same assertions the in-process broker passes, explicit ``now``
-preserved), and whole-fleet runs — the unchanged simulated
-:class:`~repro.fleet.FleetExecutor` driving a *networked* broker via
-``broker_factory``, and the :class:`~repro.fleet.net.RemoteFleetExecutor`
-coordinating real :class:`~repro.fleet.net.FleetWorker` loops on
-threads.
+preserved), and whole-fleet runs of the one coordinator,
+:class:`~repro.fleet.FleetExecutor`, over the socket broker — stepping
+in-process workers on a :class:`~repro.fleet.ManualClock`, and on the
+wall clock waiting for real :class:`~repro.fleet.net.FleetWorker` loops
+on threads.
 """
 
 import threading
@@ -36,16 +36,17 @@ from repro.fleet import (
     FleetError,
     FleetExecutor,
     FleetOptions,
-    create_fleet_executor,
+    InProcessBroker,
+    ManualClock,
     read_journal,
 )
 from repro.fleet.net import (
     BrokerServer,
     FleetWorker,
-    RemoteFleetExecutor,
     SocketBroker,
     protocol,
 )
+from repro.fleet.net.worker import main as worker_main
 
 def _fleet_point(series, x, rng):
     """A module-level grid point: deterministic given the job's rng."""
@@ -76,6 +77,11 @@ def _run(executor):
     """The acceptance grid through any executor."""
     return run_grid(_fleet_point, "x", X_VALUES, "series", SERIES_VALUES,
                     n_trials=N_TRIALS, seed=GRID_SEED, executor=executor)
+
+
+def _raising_point(series, x, rng):
+    """A grid point whose ``x == 2`` cells raise ``ZeroDivisionError``."""
+    return float(series) / (float(x) - 2.0) + float(rng.normal())
 
 
 @pytest.fixture()
@@ -209,30 +215,40 @@ class TestSocketContractParity:
 
 
 class TestSimulatedFleetOverTheSocket:
-    """The unchanged FleetExecutor driving a networked broker."""
+    """The coordinator stepping ManualClock workers over a socket broker."""
 
     def test_grid_is_bit_identical_to_serial(self, server):
         serial = _run("serial")
         fleet = FleetExecutor(
-            FleetOptions(n_workers=3),
-            broker_factory=lambda **kw: SocketBroker(server.address,
-                                                     reset=True, **kw))
+            FleetOptions(n_workers=3, broker=server.address),
+            clock=ManualClock())
         assert _run(fleet) == serial
         assert fleet.stats.completed == len(_grid_digests())
 
     def test_chaos_schedule_is_bit_identical_to_serial(self, server):
         digests = _grid_digests()
+        # The killed cell's retry (6 virtual seconds) loses its
+        # heartbeats: its lease expires mid-compute and it lands late.
         faults = FaultSchedule(kill={(digests[0], 0)},
                                drop={(digests[1], 0)},
-                               duplicate={digests[2]})
+                               duplicate={digests[2]},
+                               delay={(digests[0], 1)})
         fleet = FleetExecutor(
-            FleetOptions(n_workers=3, faults=faults),
-            broker_factory=lambda **kw: SocketBroker(server.address,
-                                                     reset=True, **kw))
+            FleetOptions(n_workers=3, faults=faults, broker=server.address),
+            clock=ManualClock())
         assert _run(fleet) == _run("serial")
         assert fleet.stats.killed == 1 and fleet.stats.dropped == 1
         assert fleet.stats.duplicated == 1
         assert fleet.stats.retried >= 2
+        assert fleet.stats.late == 1
+        # The transport does not decide: the same schedule run on an
+        # in-process broker leases, beats, expires and retries alike.
+        local = FleetExecutor(FleetOptions(n_workers=3, faults=faults))
+        assert _run(local) == _run("serial")
+        over_socket = fleet.stats.as_dict()
+        in_process = local.stats.as_dict()
+        del over_socket["reconnects"], in_process["reconnects"]
+        assert over_socket == in_process
 
 
 def _spawn_workers(server, n, **kwargs):
@@ -258,11 +274,11 @@ def _reap_workers(workers, threads):
 
 
 class TestRealWorkers:
-    """RemoteFleetExecutor + FleetWorker loops on wall clock."""
+    """The wall-clock coordinator + FleetWorker loops on threads."""
 
     def test_networked_grid_is_bit_identical_to_serial(self, server):
         serial = _run("serial")
-        remote = RemoteFleetExecutor(FleetOptions(
+        remote = FleetExecutor(FleetOptions(
             broker=server.address, poll_interval=0.02, run_timeout=60.0,
             **FAST))
         workers, threads = _spawn_workers(server, 2)
@@ -290,7 +306,7 @@ class TestRealWorkers:
                               poll_interval=0.02, label="healthy")
         threads = [threading.Thread(target=w.run, daemon=True)
                    for w in (doomed, healthy)]
-        remote = RemoteFleetExecutor(FleetOptions(
+        remote = FleetExecutor(FleetOptions(
             broker=server.address, poll_interval=0.02, run_timeout=60.0,
             **FAST))
         result_box = {}
@@ -323,7 +339,7 @@ class TestRealWorkers:
         serial = _run("serial")
         faults = FaultSchedule(drop={(digests[1], 0)})
         workers, threads = _spawn_workers(server, 2, faults=faults)
-        remote = RemoteFleetExecutor(FleetOptions(
+        remote = FleetExecutor(FleetOptions(
             broker=server.address, poll_interval=0.02, run_timeout=60.0,
             **FAST))
         try:
@@ -340,7 +356,7 @@ class TestRealWorkers:
         serial = _run("serial")
         cache = ResultCache(tmp_path / "cells")
         workers, threads = _spawn_workers(server, 1, cache=cache)
-        remote = RemoteFleetExecutor(FleetOptions(
+        remote = FleetExecutor(FleetOptions(
             broker=server.address, poll_interval=0.02, run_timeout=60.0,
             **FAST))
         try:
@@ -351,29 +367,68 @@ class TestRealWorkers:
         assert workers[0].cache_hits == len(_grid_digests())
 
     def test_settle_timeout_without_workers_raises(self, server):
-        remote = RemoteFleetExecutor(FleetOptions(
+        remote = FleetExecutor(FleetOptions(
             broker=server.address, poll_interval=0.02, run_timeout=0.3))
         with pytest.raises(FleetError, match="did not settle"):
             _run(remote)
 
+    def test_raising_cell_dead_letters_without_killing_workers(self,
+                                                              server):
+        """A raising cell must neither kill worker threads nor hang the
+        coordinator until ``run_timeout``: each attempt is failed back
+        to the broker and the cell dead-letters."""
+        grid = dict(n_trials=N_TRIALS, seed=GRID_SEED)
+        remote = FleetExecutor(FleetOptions(
+            broker=server.address, poll_interval=0.02, run_timeout=20.0,
+            **FAST))
+        workers, threads = _spawn_workers(server, 2)
+        started = time.monotonic()
+        try:
+            fleet = run_grid(_raising_point, "x", [1, 2, 3], "series", [10],
+                             executor=remote, **grid)
+            took = time.monotonic() - started
+            assert all(thread.is_alive() for thread in threads)
+        finally:
+            _reap_workers(workers, threads)
+        assert took < 10.0
+        [letter] = remote.dead_letters
+        assert "ZeroDivisionError" in letter["reason"]
+        assert sum(w.failed for w in workers) == FAST["max_attempts"]
+        assert remote.stats.dead == 1 and remote.stats.completed == 2
+        healthy = run_grid(_raising_point, "x", [1, 3], "series", [10],
+                           **grid)
+        assert fleet.series[10][0] == healthy.series[10][0]
+        assert fleet.series[10][2] == healthy.series[10][1]
+
+    def test_heartbeat_interval_must_lie_inside_the_lease(self):
+        broker = InProcessBroker(lease_timeout=5.0)
+        for bad in (0, -1.0, 5.0, 100.0):
+            with pytest.raises(ValueError, match="heartbeat_interval"):
+                FleetWorker(broker, heartbeat_interval=bad)
+        assert FleetWorker(broker).heartbeat_interval == 5.0 / 3.0
+        assert FleetWorker(broker, heartbeat_interval=4.5
+                           ).heartbeat_interval == 4.5
+        # The CLI refuses before it ever dials the broker.
+        with pytest.raises(SystemExit) as refused:
+            worker_main(["--broker", "127.0.0.1:9",
+                         "--heartbeat-interval", "0"])
+        assert refused.value.code == 2
+
 
 class TestFactoryWiring:
+    """``FleetOptions.broker`` picks the broker and the default clock."""
+
     def test_options_without_broker_build_the_simulation(self):
-        assert isinstance(create_fleet_executor(FleetOptions()),
-                          FleetExecutor)
+        executor = FleetExecutor(FleetOptions())
+        assert isinstance(executor.clock, ManualClock)
 
     def test_options_with_broker_build_the_remote_coordinator(self):
-        executor = create_fleet_executor(
-            FleetOptions(broker="127.0.0.1:9"))
-        assert isinstance(executor, RemoteFleetExecutor)
+        executor = FleetExecutor(FleetOptions(broker="127.0.0.1:9"))
+        assert executor.clock is None  # wall clock: worker processes
 
     def test_malformed_broker_address_fails_at_option_construction(self):
         with pytest.raises(ValueError):
             FleetOptions(broker="no-port-here")
-
-    def test_remote_executor_requires_a_broker(self):
-        with pytest.raises(ValueError):
-            RemoteFleetExecutor(FleetOptions())
 
 
 #: Fast reconnect backoff so the outage tests finish in milliseconds.
@@ -474,7 +529,7 @@ class TestReconnectAndRecovery:
         first = BrokerServer(journal=str(journal), **FAST).start()
         port = first.port
         workers, threads = _spawn_workers(first, 2, faults=faults)
-        remote = RemoteFleetExecutor(FleetOptions(
+        remote = FleetExecutor(FleetOptions(
             broker=first.address, poll_interval=0.02, run_timeout=60.0,
             **FAST))
         box = {}
