@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy import special
 
 from .._validation import check_positive
 from ..registry import DISTRIBUTIONS
@@ -99,6 +98,8 @@ def log_gamma(rng: SeedLike, shape: ShapeLike, c: float = 0.5) -> np.ndarray:
 
 def log_gamma_mean(c: float = 0.5) -> float:
     """``E log Gamma(c, 1) = digamma(c)``."""
+    from scipy import special  # deferred: importing repro stays free of scipy
+
     check_positive(c, "c")
     return float(special.digamma(c))
 

@@ -23,16 +23,20 @@ estimator's value moves by at most ``4*sqrt(2)*s / (3*n)`` when one
 sample changes (the sensitivity used by the exponential mechanism in
 Algorithm 1 and by Peeling in Algorithm 5).  We additionally *clip* the
 computed influence to the theoretical bound so the sensitivity holds
-numerically, not just analytically.
+numerically, not just analytically.  Past ``|a| ~ 6e102`` the closed
+form overflows to NaN, which the clip would pass through; there the
+Gaussian-tail limit ``PHI_BOUND * (2 Phi(a/b) - 1)`` is used instead,
+and NaN ``b`` and non-finite samples are rejected, so the influence is
+finite and bounded for every input.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from .._validation import check_positive
 
@@ -44,6 +48,17 @@ PHI_BOUND = 2.0 * math.sqrt(2.0) / 3.0
 PHI_KNEE = math.sqrt(2.0)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF: the ufunc scipy's ``norm.cdf`` calls, bit for bit.
+
+    ``scipy.special`` is imported on first use, so that starting a
+    ``repro`` process (CLI, server, fleet worker) loads no scipy at all.
+    """
+    from scipy.special import ndtr
+
+    return ndtr(x)
 
 
 def phi(u: np.ndarray) -> np.ndarray:
@@ -63,6 +78,42 @@ def phi(u: np.ndarray) -> np.ndarray:
     return np.where(u > PHI_KNEE, PHI_BOUND, np.where(u < -PHI_KNEE, -PHI_BOUND, core))
 
 
+def _correction(a: np.ndarray, b: np.ndarray, a2: np.ndarray,
+                a3_6: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """``Ĉ(a, b)`` given the shared powers ``a**2``, ``a**3 / 6`` and ``b**2``.
+
+    Each power is computed once by the caller and shared with the main
+    term.  The sum runs ``T1 + T2 + ... + T5`` left to right, as written.
+    """
+    v_minus = (PHI_KNEE - a) / b
+    v_plus = (PHI_KNEE + a) / b
+    f_minus = _ndtr(-v_minus)
+    f_plus = _ndtr(-v_plus)
+    v_minus2 = v_minus**2
+    v_plus2 = v_plus**2
+    e_minus = np.exp(-0.5 * v_minus2)
+    e_plus = np.exp(-0.5 * v_plus2)
+    f_sum = f_minus + f_plus
+
+    out = PHI_BOUND * (f_minus - f_plus)
+    out += -(a - a3_6) * f_sum
+    out += b / _SQRT_2PI * (1.0 - a2 / 2.0) * (e_plus - e_minus)
+    out += (a * b2 / 2.0) * (f_sum + (v_plus * e_plus + v_minus * e_minus) / _SQRT_2PI)
+    out += b**3 / (6.0 * _SQRT_2PI) * ((2.0 + v_minus2) * e_minus - (2.0 + v_plus2) * e_plus)
+    return out
+
+
+def _flat_pair(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]:
+    """Broadcast ``a`` and ``b`` and flatten both to contiguous 1-D arrays.
+
+    Returns the broadcast shape too; 1-D arrays take in-place updates even
+    for 0-d inputs, and ``reshape(shape)[()]`` restores the caller's shape
+    (a numpy scalar for 0-d, as before).
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return a.ravel(), b.ravel(), a.shape
+
+
 def correction_term(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The closed-form correction ``Ĉ(a, b)`` from the paper's appendix.
 
@@ -75,23 +126,8 @@ def correction_term(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``b`` must be strictly positive; callers handle the ``b -> 0``
     degenerate case (no smoothing noise) by falling back to ``phi(a)``.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    v_minus = (PHI_KNEE - a) / b
-    v_plus = (PHI_KNEE + a) / b
-    f_minus = norm.cdf(-v_minus)
-    f_plus = norm.cdf(-v_plus)
-    e_minus = np.exp(-0.5 * v_minus**2)
-    e_plus = np.exp(-0.5 * v_plus**2)
-
-    t1 = PHI_BOUND * (f_minus - f_plus)
-    t2 = -(a - a**3 / 6.0) * (f_minus + f_plus)
-    t3 = b / _SQRT_2PI * (1.0 - a**2 / 2.0) * (e_plus - e_minus)
-    t4 = (a * b**2 / 2.0) * (
-        f_plus + f_minus + (v_plus * e_plus + v_minus * e_minus) / _SQRT_2PI
-    )
-    t5 = b**3 / (6.0 * _SQRT_2PI) * ((2.0 + v_minus**2) * e_minus - (2.0 + v_plus**2) * e_plus)
-    return t1 + t2 + t3 + t4 + t5
+    a, b, shape = _flat_pair(a, b)
+    return _correction(a, b, a**2, a**3 / 6.0, b**2).reshape(shape)[()]
 
 
 def smoothed_phi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,8 +138,9 @@ def smoothed_phi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a:
         Location ``x / s`` of each (rescaled) sample.
     b:
-        Noise amplitude ``|x| / (s * sqrt(beta))``; must be ``>= 0``.
-        Entries with ``b == 0`` fall back to the un-smoothed ``phi(a)``.
+        Noise amplitude ``|x| / (s * sqrt(beta))``; must be ``>= 0``
+        (NaN is rejected).  Entries with ``b == 0`` fall back to the
+        un-smoothed ``phi(a)``.
 
     Returns
     -------
@@ -111,24 +148,33 @@ def smoothed_phi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         The smoothed influence, clipped into ``[-PHI_BOUND, PHI_BOUND]``
         (the clip removes only floating-point overshoot — the exact
         expectation already satisfies the bound because ``phi`` does).
+        Where the closed form overflows (``|a|`` past ~6e102) the value
+        is the Gaussian-tail limit ``PHI_BOUND * (2 Phi(a/b) - 1)``:
+        there ``phi`` is saturated for all but a vanishing share of the
+        noise.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(b < 0):
+    a, b, shape = _flat_pair(a, b)
+    if not np.all(b >= 0):
         raise ValueError("b must be non-negative")
-    a, b = np.broadcast_arrays(a, b)
-    out = np.empty_like(a)
-
+    # One pass over every entry: degenerate entries compute with b = 1 and
+    # are overwritten by phi(a) at the end, instead of a gather/scatter.
     degenerate = b < 1e-12
-    if np.any(degenerate):
+    any_degenerate = bool(degenerate.any())
+    if any_degenerate:
+        b = np.where(degenerate, 1.0, b)
+    # Overflowing entries are replaced by the tail limit just below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a3_6 = a**3 / 6.0
+        b2 = b**2
+        out = a * (1.0 - b2 / 2.0) - a3_6
+        out += _correction(a, b, a**2, a3_6, b2)
+    overflowed = ~np.isfinite(out)
+    if overflowed.any():
+        out[overflowed] = PHI_BOUND * (2.0 * _ndtr(a[overflowed] / b[overflowed]) - 1.0)
+    if any_degenerate:
         out[degenerate] = phi(a[degenerate])
-    active = ~degenerate
-    if np.any(active):
-        aa = a[active]
-        bb = b[active]
-        main = aa * (1.0 - bb**2 / 2.0) - aa**3 / 6.0
-        out[active] = main + correction_term(aa, bb)
-    return np.clip(out, -PHI_BOUND, PHI_BOUND)
+    np.clip(out, -PHI_BOUND, PHI_BOUND, out=out)
+    return out.reshape(shape)[()]
 
 
 def smoothed_phi_quadrature(a: float, b: float, n_points: int = 20001,
@@ -175,11 +221,15 @@ class CatoniEstimator:
         Each returned entry lies in ``[-s*PHI_BOUND, s*PHI_BOUND]``, so
         replacing one sample moves the *mean* of the influences by at most
         :meth:`sensitivity` — this is the quantity private algorithms add
-        noise to.
+        noise to.  Raises ``ValueError`` on a non-finite sample (or one
+        whose ``x / scale`` overflows) rather than return NaN: one such
+        sample would otherwise turn a released noisy mean into NaN.
         """
         x = np.asarray(samples, dtype=float)
         a = x / self.scale
         b = np.abs(x) / (self.scale * math.sqrt(self.beta))
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("samples must be finite, and x / scale must not overflow")
         return self.scale * smoothed_phi(a, b)
 
     def estimate(self, samples: np.ndarray) -> float:

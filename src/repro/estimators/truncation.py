@@ -32,8 +32,9 @@ def shrink(values: np.ndarray, threshold: float) -> np.ndarray:
     fourth moments (paper Assumption 3 / Lemma 8).
     """
     check_positive(threshold, "threshold")
-    v = np.asarray(values, dtype=float)
-    return np.sign(v) * np.minimum(np.abs(v), threshold)
+    out = np.clip(np.asarray(values, dtype=float), -threshold, threshold)
+    out += 0.0  # -0.0 -> +0.0, exactly as sign(v) * min(|v|, K) gives
+    return out
 
 
 def shrink_dataset(features: np.ndarray, labels: np.ndarray,

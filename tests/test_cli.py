@@ -387,3 +387,27 @@ class TestBenchEnvKnobs:
         result = self._import_common({"REPRO_BENCH_CACHE": str(target)})
         assert result.returncode == 0, result.stderr
         assert target.is_dir()
+
+
+class TestStartup:
+    """Starting a ``repro`` process must not pay for importing scipy."""
+
+    def test_entry_points_import_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import repro.cli, repro.fleet.net.worker, repro.server.http\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_deferred_digamma_is_scipy_digamma(self):
+        from scipy.special import digamma
+
+        from repro.data import log_gamma_mean
+
+        assert log_gamma_mean(0.5) == float(digamma(0.5))

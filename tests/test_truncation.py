@@ -51,6 +51,28 @@ class TestShrink:
         """Shrinkage never increases any entry's magnitude."""
         assert np.all(np.abs(shrink(x, k)) <= np.abs(x) + 1e-12)
 
+    @pytest.mark.parametrize("k", [5e-324, 1e-3, 1.0, 3.5, 1e308])
+    def test_matches_sign_min_oracle_bitwise(self, rng, k):
+        """Bit for bit ``sign(v) * min(|v|, K)``, signed zeros, NaNs and subnormals included."""
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                             5e-324, -5e-324, 1e308, -1e308])
+        scales = 10.0 ** rng.uniform(-320, 300, 500)
+        v = np.concatenate([specials, rng.standard_normal(500) * scales])
+        rng.shuffle(v)
+        for values in (v, v.reshape(51, 10), v.reshape(10, 51).T, v[::3], np.asarray(v[1])):
+            expected = np.sign(values) * np.minimum(np.abs(values), k)
+            actual = shrink(values, k)
+            assert np.shape(actual) == np.shape(expected)
+            assert type(actual) is type(expected)
+            np.testing.assert_array_equal(np.asarray(actual).view(np.int64),
+                                          np.asarray(expected).view(np.int64))
+
+    def test_input_left_untouched(self):
+        v = np.array([-0.0, -3.0, 2.0])
+        shrink(v, 1.0)
+        np.testing.assert_array_equal(v.view(np.int64),
+                                      np.array([-0.0, -3.0, 2.0]).view(np.int64))
+
     def test_no_op_above_all_entries(self):
         x = np.array([0.5, -0.25])
         np.testing.assert_array_equal(shrink(x, 10.0), x)
