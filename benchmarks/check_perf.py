@@ -5,7 +5,7 @@ timing snapshot against the last entry of the committed trajectory in
 ``benchmarks/perf/`` and fails (exit 1) when either
 
 * the fresh ``run_id`` differs from the committed one — the optimization
-  changed results, which the batched-trials contract forbids; or
+  changed results, which a speed-up must never do; or
 * the fresh ``total_seconds`` exceeds the committed total by more than
   the noise tolerance (``REPRO_PERF_TOLERANCE``, default 0.5 — i.e.
   fresh may be at most 1.5x the committed total).

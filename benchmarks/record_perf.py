@@ -39,7 +39,8 @@ from repro.service import ServiceCore
 
 #: The perf suite: trajectory file -> catalog bench.  BENCH_engine
 #: tracks the cheapest ablation (the regression gate's primary bench);
-#: BENCH_lasso and BENCH_dpfw track one bench per batched solver family.
+#: BENCH_lasso and BENCH_dpfw track one bench per private solver
+#: (Algorithm 2 and Algorithm 1).
 SUITE = {
     "BENCH_engine.json": "ablation_truncation_threshold",
     "BENCH_lasso.json": "fig05_lasso_lognormal",

@@ -23,11 +23,12 @@ estimator's value moves by at most ``4*sqrt(2)*s / (3*n)`` when one
 sample changes (the sensitivity used by the exponential mechanism in
 Algorithm 1 and by Peeling in Algorithm 5).  We additionally *clip* the
 computed influence to the theoretical bound so the sensitivity holds
-numerically, not just analytically.  Past ``|a| ~ 6e102`` the closed
-form overflows to NaN, which the clip would pass through; there the
-Gaussian-tail limit ``PHI_BOUND * (2 Phi(a/b) - 1)`` is used instead,
-and NaN ``b`` and non-finite samples are rejected, so the influence is
-finite and bounded for every input.
+numerically, not just analytically.  Far in the tail the closed form
+cancels catastrophically (from ``max(|a|, b) ~ 1e4``) and then
+overflows to NaN (past ``|a| ~ 6e102``), which the clip would pass
+through; there the Gaussian-tail limit ``PHI_BOUND * (2 Phi(a/b) - 1)``
+is used instead, and NaN ``b`` and non-finite samples are rejected, so
+the influence is finite and bounded for every input.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ PHI_BOUND = 2.0 * math.sqrt(2.0) / 3.0
 #: The truncation knee of ``phi``: ``phi`` is the cubic ``u - u^3/6``
 #: on ``[-sqrt(2), sqrt(2)]`` and saturates outside.
 PHI_KNEE = math.sqrt(2.0)
+
+#: :func:`smoothed_phi` switches from the closed form to the
+#: Gaussian-tail limit where ``max(|a|, b)`` reaches this value.
+_TAIL_SWITCH = 1e4
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -148,10 +153,12 @@ def smoothed_phi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         The smoothed influence, clipped into ``[-PHI_BOUND, PHI_BOUND]``
         (the clip removes only floating-point overshoot — the exact
         expectation already satisfies the bound because ``phi`` does).
-        Where the closed form overflows (``|a|`` past ~6e102) the value
-        is the Gaussian-tail limit ``PHI_BOUND * (2 Phi(a/b) - 1)``:
-        there ``phi`` is saturated for all but a vanishing share of the
-        noise.
+        Where ``max(|a|, b) >= 1e4`` the value is the Gaussian-tail
+        limit ``PHI_BOUND * (2 Phi(a/b) - 1)``: there ``phi`` is
+        saturated for all but a vanishing share of the noise, while the
+        closed form cancels catastrophically (its error against
+        quadrature is >= 3e-5 at 1e4 and sign-wrong by 1e6) and
+        overflows past ``|a|`` ~6e102.
     """
     a, b, shape = _flat_pair(a, b)
     if not np.all(b >= 0):
@@ -162,15 +169,16 @@ def smoothed_phi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     any_degenerate = bool(degenerate.any())
     if any_degenerate:
         b = np.where(degenerate, 1.0, b)
-    # Overflowing entries are replaced by the tail limit just below.
+    # Far-tail entries (cancelling or overflowing) are replaced by the
+    # tail limit just below.
     with np.errstate(over="ignore", invalid="ignore"):
         a3_6 = a**3 / 6.0
         b2 = b**2
         out = a * (1.0 - b2 / 2.0) - a3_6
         out += _correction(a, b, a**2, a3_6, b2)
-    overflowed = ~np.isfinite(out)
-    if overflowed.any():
-        out[overflowed] = PHI_BOUND * (2.0 * _ndtr(a[overflowed] / b[overflowed]) - 1.0)
+    far = np.maximum(np.abs(a), b) >= _TAIL_SWITCH
+    if far.any():
+        out[far] = PHI_BOUND * (2.0 * _ndtr(a[far] / b[far]) - 1.0)
     if any_degenerate:
         out[degenerate] = phi(a[degenerate])
     np.clip(out, -PHI_BOUND, PHI_BOUND, out=out)

@@ -225,30 +225,12 @@ class TrialJob:
     def execute(self, point: PointFn) -> List[float]:
         """Run all trials of this cell and return the raw trial values.
 
-        Points that implement the opt-in batched protocol
-        ``batch_point(series_value, sweep_value, rngs) -> list[float]``
-        (see :class:`~repro.evaluation.scenarios.Scenario`) receive the
-        whole cell as one call — every executor (serial, thread,
-        process, fleet) routes through this method, so one dispatch
-        point covers them all.  The batched path is contractually
-        bit-identical to the scalar loop: each trial's Generator must
-        be consumed with exactly the draws, in exactly the order, of
-        the scalar path, so trial values — and therefore cache digests,
-        run records, and ``run_id`` s — are unchanged.  Setting
-        ``REPRO_BATCH_TRIALS=0`` in the environment forces the scalar
-        loop (an escape hatch for A/B-ing the two paths; it can never
-        change a result).
+        Trial ``k`` calls ``point(series_value, sweep_value, rng_k)``
+        with the ``k``-th Generator spawned from the cell's seed.  Every
+        executor (serial, thread, process, fleet) routes through this
+        method, so all of them compute the same values.
         """
         rngs = spawn_rngs(self.seed_sequence(), self.n_trials)
-        batch = getattr(point, "batch_point", None)
-        if callable(batch) and os.environ.get("REPRO_BATCH_TRIALS", "1") != "0":
-            values = [float(v) for v in
-                      batch(self.series_value, self.sweep_value, rngs)]
-            if len(values) != self.n_trials:
-                raise ValueError(
-                    f"batch_point returned {len(values)} values for a cell "
-                    f"of {self.n_trials} trials")
-            return values
         return [float(point(self.series_value, self.sweep_value, rng))
                 for rng in rngs]
 

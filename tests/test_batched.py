@@ -1,29 +1,18 @@
-"""Tests for the trial-batched paths and their bit-identity contract.
+"""Vectorized kernels checked bit for bit against the loops they replaced.
 
-Four layers of guarantees:
-
-* **dispatch** — ``TrialJob.execute`` routes whole cells through
-  ``batch_point`` when a scenario declares one, on every executor;
-  ``REPRO_BATCH_TRIALS=0`` forces the scalar loop; a wrong-length batch
-  is rejected; scenarios without the method are untouched.
-* **fingerprint neutrality** — declaring (or editing) a
-  ``batch_method`` never moves a scenario's cache fingerprint, so
-  opting in cannot invalidate warm cells or shift a ``run_id``.
-* **the Algorithm 2 loop** — ``HeavyTailedPrivateLasso.fit`` and the
-  stacked :func:`repro.core.batched.batch_fit_lasso` select the same
-  vertices, return the same bits and leave each Generator in the same
-  state as the direct-form reference loop kept here as an oracle.
-* **bit-identity** — the private-Lasso catalog families (the only ones
-  that batch) produce float-for-float identical trial statistics on
-  both paths, and the vectorized satellites (column-wise estimators,
-  finite-difference oracle, hypercube geometry) match the loops they
-  replaced exactly.
+* **the Algorithm 2 loop** — ``HeavyTailedPrivateLasso.fit`` runs its
+  gradient in Gram form; it selects the same vertices, returns the same
+  bits and leaves the Generator in the same state as the direct-form
+  reference loop kept here as an oracle.
+* **column-wise estimators** — ``coordinatewise`` fast paths equal the
+  per-column loop, errors included.
+* **finite differences** — ``finite_difference_gradient`` equals the
+  per-coordinate loop.
+* **hypercube geometry** — the matrix-free corners, scores and vertices
+  equal the dense construction.
 """
 
 import math
-import os
-import time
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -35,224 +24,10 @@ from repro.estimators.baseline_means import (
     median_of_means,
     trimmed_mean,
 )
-from repro.evaluation import (
-    Scenario,
-    batch_method,
-    build_jobs,
-    point_fingerprint,
-    run_grid,
-)
 from repro.core import HeavyTailedPrivateLasso
-from repro.core.batched import batch_fit_lasso
-from repro.experiments.panels import (
-    DistributionSpec,
-    L1LinearPanel,
-    L1PrivateVsNonprivatePanel,
-    TruncationThresholdAblation,
-)
 from repro.geometry import Hypercube, L1Ball, hypercube
 from repro.losses import SquaredLoss
 from repro.losses.base import finite_difference_gradient
-
-
-@dataclass(frozen=True)
-class _MarkerScenario(Scenario):
-    """Scalar path returns 1.0; batched path returns 2.0 — which ran?"""
-
-    def __call__(self, series, x, rng):
-        rng.normal()
-        return 1.0
-
-    @batch_method
-    def batch_point(self, series, x, rngs):
-        """Consume the per-trial draw, return the batched marker."""
-        for rng in rngs:
-            rng.normal()
-        return [2.0] * len(rngs)
-
-
-@dataclass(frozen=True)
-class _ScalarOnlyScenario(Scenario):
-    """A scenario without a batched path — must use the plain loop."""
-
-    def __call__(self, series, x, rng):
-        return float(rng.normal())
-
-
-@dataclass(frozen=True)
-class _ShortBatchScenario(Scenario):
-    """Batched path that drops a trial — the engine must reject it."""
-
-    def __call__(self, series, x, rng):
-        return float(rng.normal())
-
-    @batch_method
-    def batch_point(self, series, x, rngs):
-        """Return one value too few."""
-        return [float(rng.normal()) for rng in rngs[:-1]]
-
-
-def _job(point, n_trials=3):
-    """One TrialJob for a fixed tiny cell."""
-    return build_jobs("n", [100], "d", [5], n_trials=n_trials, seed=0)[0]
-
-
-class TestDispatch:
-    def test_batch_path_taken_when_declared(self):
-        assert _job(None).execute(_MarkerScenario()) == [2.0, 2.0, 2.0]
-
-    def test_kill_switch_forces_scalar_loop(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_TRIALS", "0")
-        assert _job(None).execute(_MarkerScenario()) == [1.0, 1.0, 1.0]
-
-    def test_kill_switch_off_values_other_than_zero_still_batch(self,
-                                                                monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_TRIALS", "1")
-        assert _job(None).execute(_MarkerScenario()) == [2.0, 2.0, 2.0]
-
-    def test_scalar_only_scenario_untouched(self, monkeypatch):
-        values = _job(None).execute(_ScalarOnlyScenario())
-        monkeypatch.setenv("REPRO_BATCH_TRIALS", "0")
-        assert _job(None).execute(_ScalarOnlyScenario()) == values
-
-    def test_wrong_length_batch_rejected(self):
-        with pytest.raises(ValueError, match="returned 2 values"):
-            _job(None).execute(_ShortBatchScenario())
-
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_dispatch_on_pool_executors(self, executor):
-        result = run_grid(_MarkerScenario(), "n", [10, 20], "d", [5],
-                          n_trials=2, seed=0, executor=executor,
-                          max_workers=2)
-        assert result.means(5).tolist() == [2.0, 2.0]
-
-    def test_dispatch_on_process_executor(self):
-        result = run_grid(_MarkerScenario(), "n", [10], "d", [5],
-                          n_trials=2, seed=0, executor="process",
-                          max_workers=2)
-        assert result.means(5).tolist() == [2.0]
-
-    def test_dispatch_on_fleet_executor(self):
-        result = run_grid(_MarkerScenario(), "n", [10], "d", [5],
-                          n_trials=2, seed=0, executor="fleet",
-                          max_workers=2)
-        assert result.means(5).tolist() == [2.0]
-
-
-def _probe_class(with_batch: bool):
-    """The same scenario class, with or without a batched path."""
-    if with_batch:
-        @dataclass(frozen=True)
-        class Probe(Scenario):
-            """Fingerprint probe."""
-
-            slope: float = 1.0
-
-            def __call__(self, series, x, rng):
-                """Scalar path."""
-                return self.slope * float(rng.normal())
-
-            @batch_method
-            def batch_point(self, series, x, rngs):
-                """Batched path (helper below is also invisible)."""
-                return _probe_helper(self.slope, rngs)
-    else:
-        @dataclass(frozen=True)
-        class Probe(Scenario):
-            """Fingerprint probe."""
-
-            slope: float = 1.0
-
-            def __call__(self, series, x, rng):
-                """Scalar path."""
-                return self.slope * float(rng.normal())
-    return Probe
-
-
-def _probe_helper(slope, rngs):
-    """Module-level helper reachable only from a batch_method body."""
-    return [slope * float(rng.normal()) for rng in rngs]
-
-
-class TestFingerprintNeutrality:
-    def test_batch_method_invisible_to_fingerprint(self):
-        plain = _probe_class(with_batch=False)(slope=2.0)
-        batched = _probe_class(with_batch=True)(slope=2.0)
-        assert point_fingerprint(plain) == point_fingerprint(batched)
-
-    def test_fields_still_fingerprinted(self):
-        cls = _probe_class(with_batch=True)
-        assert point_fingerprint(cls(slope=2.0)) != \
-            point_fingerprint(cls(slope=3.0))
-
-    def test_batch_method_binds_like_a_method(self):
-        cls = _probe_class(with_batch=True)
-        instance = cls(slope=2.0)
-        rng = np.random.default_rng(0)
-        expected = 2.0 * float(np.random.default_rng(0).normal())
-        assert instance.batch_point(None, None, [rng]) == [expected]
-        # Class access unwraps to the plain function.
-        assert callable(cls.batch_point)
-
-
-_FEATURES = DistributionSpec("lognormal", {"sigma": 0.6})
-_NOISE = DistributionSpec("gaussian", {"scale": 0.1})
-_T_NOISE = DistributionSpec("student_t", {"df": 3.0})
-
-
-def _tiny_panels():
-    """One small instance + grid per catalog family with a batched path."""
-    threshold = HeavyTailedPrivateLasso(
-        L1Ball(8), epsilon=1.0, delta=1e-5).resolve_schedule(400).threshold
-    return [
-        (L1LinearPanel(solver="dpfw", features=_FEATURES, noise=_NOISE,
-                       sweep="epsilon", n_fixed=300),
-         "epsilon", [0.5, 1.0], "d", [6]),
-        (L1LinearPanel(solver="lasso", features=_FEATURES, noise=_NOISE,
-                       sweep="n", eps_fixed=1.0),
-         "n", [200, 400], "d", [6]),
-        (L1PrivateVsNonprivatePanel(solver="lasso", features=_FEATURES,
-                                    noise=_NOISE, d_fixed=6),
-         "n", [300], "kind", ["private(eps=1)", "non-private"]),
-        (TruncationThresholdAblation(features=_FEATURES, noise=_NOISE, d=8,
-                                     n=400, theory_threshold=threshold),
-         "K_multiplier", [0.3, 1.0], "metric", ["excess_risk"]),
-    ]
-
-
-def _stats_tuple(result):
-    """Every float the grid produced, in a comparable flat layout."""
-    return [(series, [(s.mean, s.std, s.minimum, s.maximum)
-                      for s in stats])
-            for series, stats in sorted(result.series.items(),
-                                        key=lambda kv: str(kv[0]))]
-
-
-class TestPanelBitIdentity:
-    @pytest.mark.parametrize(
-        "point,sweep_name,sweep_values,series_name,series_values",
-        _tiny_panels(),
-        ids=lambda p: type(p).__name__ if isinstance(p, Scenario) else None)
-    def test_batched_equals_scalar(self, monkeypatch, point, sweep_name,
-                                   sweep_values, series_name, series_values):
-        assert callable(getattr(point, "batch_point", None))
-        batched = run_grid(point, sweep_name, sweep_values,
-                           series_name, series_values, n_trials=2, seed=11)
-        monkeypatch.setenv("REPRO_BATCH_TRIALS", "0")
-        scalar = run_grid(point, sweep_name, sweep_values,
-                          series_name, series_values, n_trials=2, seed=11)
-        assert _stats_tuple(batched) == _stats_tuple(scalar)
-
-    def test_batched_equals_scalar_on_thread_executor(self, monkeypatch):
-        point, sweep_name, sweep_values, series_name, series_values = \
-            _tiny_panels()[-1]  # the truncation ablation (lasso family)
-        batched = run_grid(point, sweep_name, sweep_values, series_name,
-                           series_values, n_trials=2, seed=7,
-                           executor="thread", max_workers=2)
-        monkeypatch.setenv("REPRO_BATCH_TRIALS", "0")
-        scalar = run_grid(point, sweep_name, sweep_values, series_name,
-                          series_values, n_trials=2, seed=7)
-        assert _stats_tuple(batched) == _stats_tuple(scalar)
 
 
 def _direct_lasso(solver, X, y, rng):
@@ -320,22 +95,6 @@ class TestLassoLoopMatchesDirectForm:
         assert result.metadata["selected_vertices"] == selected_ref
         assert np.array_equal(result.w, w_ref)
         assert rng2.random() == rng.random()  # same stream afterwards
-
-    @pytest.mark.parametrize("n,d,polytope", _ORACLE_CASES, ids=_case_id)
-    def test_stacked_trials_match_oracle(self, n, d, polytope):
-        solver = HeavyTailedPrivateLasso(polytope, epsilon=0.5, delta=1e-6)
-        trials = [_lasso_data(seed, n, d) for seed in (10, 11, 12)]
-        steps = []
-        ws = batch_fit_lasso(
-            solver, [(X, y) for X, y, _ in trials],
-            [rng for _, _, rng in trials],
-            on_step=lambda t, chosen, w: steps.append(chosen))
-        for k, seed in enumerate((10, 11, 12)):
-            X, y, rng = _lasso_data(seed, n, d)
-            w_ref, selected_ref = _direct_lasso(solver, X, y, rng)
-            assert [chosen[k] for chosen in steps] == selected_ref
-            assert np.array_equal(ws[k], w_ref)
-            assert trials[k][2].random() == rng.random()
 
 
 class TestColumnwiseFastPaths:
@@ -447,41 +206,3 @@ class TestHypercube:
         cube = hypercube(2)
         assert cube.dimension == 2
         assert cube.n_vertices == 4
-
-
-@pytest.mark.perf
-@pytest.mark.skipif(os.environ.get("REPRO_RUN_PERF") != "1",
-                    reason="wall-clock assertion; set REPRO_RUN_PERF=1")
-class TestBatchedSpeedup:
-    def test_lasso_family_batching_is_faster(self, monkeypatch):
-        """The batched truncation ablation beats the scalar loop cold.
-
-        The committed trajectory shows ~2.5x; asserting a plain win
-        leaves a wide margin for noisy CI hosts.
-        """
-        from repro.core import HeavyTailedPrivateLasso
-        threshold = HeavyTailedPrivateLasso(
-            L1Ball(40), epsilon=1.0,
-            delta=1e-5).resolve_schedule(12_000).threshold
-        point = TruncationThresholdAblation(
-            features=_FEATURES, noise=_NOISE, d=40, n=12_000,
-            theory_threshold=threshold)
-        grid = dict(n_trials=5, seed=240)
-        start = time.perf_counter()
-        batched = run_grid(point, "K_multiplier", [0.3, 1.0, 3.0],
-                           "metric", ["excess_risk"], **grid)
-        batched_seconds = time.perf_counter() - start
-        monkeypatch.setenv("REPRO_BATCH_TRIALS", "0")
-        start = time.perf_counter()
-        scalar = run_grid(point, "K_multiplier", [0.3, 1.0, 3.0],
-                          "metric", ["excess_risk"], **grid)
-        scalar_seconds = time.perf_counter() - start
-        assert _stats_tuple(batched) == _stats_tuple(scalar)
-        assert batched_seconds < scalar_seconds
-
-
-def test_batched_values_survive_float_rounding():
-    """math.floor-style artifacts: batch values come back as floats."""
-    values = _job(None).execute(_MarkerScenario())
-    assert all(isinstance(v, float) for v in values)
-    assert math.isfinite(sum(values))

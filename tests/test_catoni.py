@@ -345,7 +345,7 @@ class TestKernelOracle:
 
 
 class TestFarTail:
-    """Huge inputs: the influence stays finite and bounded; overflow uses the tail limit."""
+    """Huge inputs: the influence stays finite and bounded; the far tail uses the tail limit."""
 
     @staticmethod
     def _quadrature(a, b):
@@ -361,10 +361,6 @@ class TestFarTail:
         value = float(smoothed_phi(np.array(a), np.array(b)))
         assert value == pytest.approx(self._quadrature(a, b), abs=3e-6)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "closed form cancels for max(|a|, b) >= 1e4 (error >= 3e-5); the "
-        "tail-limit branch that fixes it moves ext_weak_moments' committed "
-        "run_id, so it waits for a deliberate re-pin (ROADMAP)"))
     @pytest.mark.parametrize("a, b", [(1e4, 1e4), (1e6, 1e6), (-1e4, 1e4),
                                       (1e4, 1e4 / math.sqrt(2.0)),
                                       (1e6, 1e6 / math.sqrt(2.0))])

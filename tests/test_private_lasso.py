@@ -72,6 +72,26 @@ class TestPrivacyBookkeeping:
             solver.per_iteration_epsilon(T))
 
 
+class TestIterationRecord:
+    def test_callback_history_and_vertices_agree(self, rng):
+        data = _data(rng, n=1500, d=6)
+        X, y = data.features, data.labels
+        solver = HeavyTailedPrivateLasso(L1Ball(6), epsilon=1.0, delta=1e-5,
+                                         record_history=True)
+        calls = []
+        result = solver.fit(X, y, rng=rng,
+                            callback=lambda t, w: calls.append((t, w.copy())))
+        T = result.n_iterations
+        assert [t for t, _ in calls] == list(range(T))
+        for t, w in calls:
+            assert np.array_equal(w, result.iterates[t + 1])
+        assert len(result.metadata["selected_vertices"]) == T
+        loss = SquaredLoss()
+        assert len(result.risks) == len(result.iterates) == T + 1
+        for w, risk in zip(result.iterates, result.risks):
+            assert risk == loss.value(w, X, y)
+
+
 class TestOptimization:
     def test_feasible_iterates(self, rng):
         data = _data(rng, n=2000, d=6)

@@ -130,6 +130,20 @@ class TestFingerprints:
         b = panels.PeelingVsDenseAblation(n=100, s=3)
         assert a.fingerprint() != b.fingerprint()
 
+    def test_every_panel_method_is_fingerprinted(self):
+        """Every callable or descriptor a catalog scenario class defines
+        is a kind the fingerprint's method walk hashes, so no code path
+        a trial can run is invisible to the cache key."""
+        hashed = (types.FunctionType, staticmethod, classmethod)
+        classes = [cls for cls in vars(panels).values()
+                   if isinstance(cls, type) and issubclass(cls, Scenario)
+                   and cls.__module__ == panels.__name__]
+        assert classes
+        for cls in classes:
+            for name, attr in vars(cls).items():
+                if callable(attr) or hasattr(type(attr), "__get__"):
+                    assert isinstance(attr, hashed), f"{cls.__name__}.{name}"
+
     def test_point_spec_params_change_fingerprint(self):
         a = PointSpec.of(_quadratic_point, scale=1.0)
         b = PointSpec.of(_quadratic_point, scale=2.0)
